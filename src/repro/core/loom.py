@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 
 from repro.core.motifs import Match, WindowMatcher
+from repro.core.signature import fac
 from repro.core.tpstry import MotifIndex, TPSTry
 from repro.graphs.model import Edge, LabeledGraph
 from repro.partitioners.base import StreamEdge, StreamingPartitioner
@@ -47,7 +48,15 @@ def ration(
     *,
     alpha: float = DEFAULT_ALPHA,
 ) -> float:
-    """The rationing function ``l(S_i)`` over vertex counts ``sizes``.
+    """The rationing function ``l(S_i)`` over vertex counts ``sizes``
+    (one entry of :func:`rations`)."""
+    return rations(sizes, capacity, alpha=alpha)[i]
+
+
+def rations(
+    sizes: list[int], capacity: int, *, alpha: float = DEFAULT_ALPHA
+) -> list[float]:
+    """The rationing function ``l(S_i)`` of every partition.
 
     Eq. 2 with the semantics of the paper's worked example: the smallest
     partition gets the full ration (α = 1); a partition over the maximum
@@ -58,12 +67,15 @@ def ration(
     relative to |V(S_min)| (see DESIGN.md on Eq. 2).
     """
     s_min = min(sizes)
-    s_i = sizes[i]
-    if s_i <= s_min:
-        return 1.0  # the smallest partition always gets the full ration
-    if s_i >= capacity:
-        return 0.0  # over the maximum-imbalance cap: may not bid
-    return (s_min / s_i) * alpha
+    out = []
+    for s_i in sizes:
+        if s_i <= s_min:
+            out.append(1.0)  # the smallest partition always gets the full ration
+        elif s_i >= capacity:
+            out.append(0.0)  # over the maximum-imbalance cap: may not bid
+        else:
+            out.append((s_min / s_i) * alpha)
+    return out
 
 
 class LoomPartitioner(StreamingPartitioner):
@@ -145,7 +157,6 @@ class LoomPartitioner(StreamingPartitioner):
         """Pick the winning partition + rationed prefix of ``M_e``."""
         st = self.state
         supports = [self.motifs.support(m.node) for m in m_e]
-        match_verts = [self.matcher._vertices(m.eids) for m in m_e]
         # LDG-style secondary signal: where the whole cluster's unassigned
         # vertices already have assigned neighbours. Equal opportunism
         # "extends ideas present in LDG" (Sec. 4); without this, clusters
@@ -156,7 +167,7 @@ class LoomPartitioner(StreamingPartitioner):
         # plus a small floor so unqueried edges still count): the paper's
         # own rationale — edges "may not be traversed with equal
         # likelihood given a workload Q" — applied to the tie-break.
-        cluster = {v for verts in match_verts for v in verts}
+        cluster = {v for m in m_e for v in m.vertices}
         nbr_counts = [0.0] * st.k
         for v in cluster:
             if not st.is_assigned(v):
@@ -164,23 +175,24 @@ class LoomPartitioner(StreamingPartitioner):
                     pid = st.assignment.get(w, -1)
                     if pid >= 0:
                         nbr_counts[pid] += 0.1 + self._edge_type_support(v, w)
+        # N(S_i, E_k) for every match and partition, one pass per match.
+        in_part = [st.partition_counts(m.vertices) for m in m_e]
+        sizes, cap, n_m = st.sizes, st.capacity, len(m_e)
         best_pid, best_key, best_n = 0, None, 1
-        for pid in range(st.k):
-            l_i = ration(st.sizes, pid, st.capacity, alpha=self.alpha)
+        for pid, l_i in enumerate(rations(sizes, cap, alpha=self.alpha)):
             if l_i <= 0.0:
                 continue
-            n_i = max(1, math.ceil(l_i * len(m_e)))
+            n_i = max(1, math.ceil(l_i * n_m))
             # Residual weight against the hard cap b·n/k: it stays
             # positive until the ration (l = 0 at the cap) excludes the
             # partition, so a cluster's anchor partition never loses its
             # bid merely for being at the balanced size — the LDG
             # fallback fills to the soft cap n/k, below this.
-            resid = 1.0 - st.sizes[pid] / st.capacity
+            resid = 1.0 - sizes[pid] / cap
             total = 0.0
-            for m, supp, verts in zip(m_e[:n_i], supports[:n_i], match_verts[:n_i]):
-                n_si = sum(1 for v in verts if st.assignment.get(v, -1) == pid)
-                total += n_si * resid * supp
-            key = (total, nbr_counts[pid] * max(resid, 0.0), -st.sizes[pid], -pid)
+            for counts, supp in zip(in_part[:n_i], supports[:n_i]):
+                total += counts[pid] * resid * supp
+            key = (total, nbr_counts[pid] * max(resid, 0.0), -sizes[pid], -pid)
             if best_key is None or key > best_key:
                 best_pid, best_key, best_n = pid, key, n_i
         if best_key is None:  # every partition over the imbalance cap
@@ -196,10 +208,7 @@ class LoomPartitioner(StreamingPartitioner):
         key = (lu, lv) if lu <= lv else (lv, lu)
         supp = self._type_supp_cache.get(key)
         if supp is None:
-            from repro.core.signature import incremental_factors
-
-            fac = incremental_factors((0, 1), (), {0: key[0], 1: key[1]}, self.matcher.h)
-            node = self.motifs.single_edge_motif(fac)
+            node = self.motifs.single_edge_motif(fac(self.matcher.h, *key))
             supp = self.motifs.support(node) if node is not None else 0.0
             self._type_supp_cache[key] = supp
         return supp

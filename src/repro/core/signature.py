@@ -95,6 +95,25 @@ def graph_factors(graph: LabeledGraph, h: LabelHash) -> Counter[int]:
     return c
 
 
+def fac(h: LabelHash, lu: str, lv: str, du: int = 0, dv: int = 0) -> FactorKey:
+    """``fac(e, g)`` for an edge between labels ``lu`` and ``lv`` whose
+    endpoints have degrees ``du`` and ``dv`` in ``g`` (0 when outside it).
+
+    The canonical multiset key of one edge factor plus one new degree
+    factor per endpoint (the endpoint's degree in ``g + e``). Symmetric:
+    ``fac(h, lu, lv, du, dv) == fac(h, lv, lu, dv, du)``.
+    """
+    return tuple(
+        sorted(
+            (
+                h.edge_factor(lu, lv),
+                h.degree_factor(lu, du + 1),
+                h.degree_factor(lv, dv + 1),
+            )
+        )
+    )
+
+
 def incremental_factors(
     edge: tuple[int, int],
     sub_edges: Iterable[tuple[int, int]],
@@ -105,23 +124,13 @@ def incremental_factors(
     when ``edge`` is added (paper Alg. 1/2 line 1).
 
     ``sub_edges`` is the edge set of ``g`` (NOT including ``edge``);
-    ``labels`` must cover all endpoints. Returns the canonical multiset key
-    of one edge factor plus one new degree factor per endpoint (the
-    endpoint's degree in ``g + e``).
+    ``labels`` must cover all endpoints. See :func:`fac`.
     """
     u, v = edge
     if u == v:
         raise ValueError("self-loops unsupported")
     deg = subgraph_degrees(sub_edges)
-    return tuple(
-        sorted(
-            (
-                h.edge_factor(labels[u], labels[v]),
-                h.degree_factor(labels[u], deg.get(u, 0) + 1),
-                h.degree_factor(labels[v], deg.get(v, 0) + 1),
-            )
-        )
-    )
+    return fac(h, labels[u], labels[v], deg.get(u, 0), deg.get(v, 0))
 
 
 def factor_key(c: Counter[int]) -> FactorKey:

@@ -25,6 +25,7 @@ from repro.core.signature import (
     DEFAULT_P,
     FactorKey,
     LabelHash,
+    fac,
     incremental_factors,
 )
 from repro.graphs.model import LabeledGraph, norm_edge
@@ -171,6 +172,10 @@ class MotifIndex:
         self.trie = trie
         self.keep = keep
         self.threshold = threshold
+        # Unordered label pair -> the motif nodes an edge of that type can
+        # extend. Filled lazily: the stream reveals labels absent from the
+        # workload.
+        self._extendable: dict[tuple[str, str], frozenset[FactorKey]] = {}
 
     def __len__(self) -> int:
         return len(self.keep)
@@ -198,6 +203,32 @@ class MotifIndex:
             if child in self.keep:
                 return child
         return None
+
+    def extendable(self, la: str, lb: str) -> frozenset[FactorKey]:
+        """Edge-type extension filter: the motif nodes that an ``la``-``lb``
+        edge takes to a motif child for some endpoint degrees ``du, dv`` in
+        ``[0, n_edges(node)]``.
+
+        A match's vertices have at most as many sub-graph edges as the
+        match, so a node outside the set proves :meth:`motif_child` returns
+        ``None`` for every such edge. Decided by the same factor arithmetic
+        as matching (never by comparing query labels), so signature
+        collisions behave exactly as they do in :meth:`motif_child`.
+        """
+        pair = (la, lb) if la <= lb else (lb, la)
+        nodes = self._extendable.get(pair)
+        if nodes is None:
+            found = set()
+            for key in self.keep:
+                degrees = range(self.trie.nodes[key].n_edges + 1)
+                if any(
+                    self.motif_child(key, fac(self.trie.h, la, lb, du, dv)) is not None
+                    for du in degrees
+                    for dv in degrees
+                ):
+                    found.add(key)
+            nodes = self._extendable[pair] = frozenset(found)
+        return nodes
 
     def max_motif_edges(self) -> int:
         """Edge count of the largest motif (bounds match growth)."""

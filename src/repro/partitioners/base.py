@@ -76,11 +76,23 @@ class PartitionState:
     def is_assigned(self, v: int) -> bool:
         return v in self.assignment
 
+    def partition_counts(self, vertices: Iterable[int]) -> list[int]:
+        """|vertices ∩ S_i| for every partition i, in one pass."""
+        counts = [0] * self.k
+        assignment = self.assignment
+        for w in vertices:
+            pid = assignment.get(w, -1)
+            if pid >= 0:
+                counts[pid] += 1
+        return counts
+
+    def neighbour_counts(self, v: int) -> list[int]:
+        """|N(v) ∩ S_i| for every partition i over the revealed adjacency."""
+        return self.partition_counts(self.adj.get(v, ()))
+
     def neighbours_in(self, v: int, pid: int) -> int:
         """|N(v) ∩ S_pid| over the revealed adjacency."""
-        return sum(
-            1 for w in self.adj.get(v, ()) if self.assignment.get(w, -1) == pid
-        )
+        return self.neighbour_counts(v)[pid]
 
     def least_loaded(self) -> int:
         return min(range(self.k), key=lambda i: (self.sizes[i], i))

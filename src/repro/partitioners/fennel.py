@@ -38,14 +38,15 @@ class FennelPartitioner(StreamingPartitioner):
         self.max_size = nu * n / k
 
     def _choose(self, st: PartitionState, v: int) -> int:
+        counts = st.neighbour_counts(v)
+        penalty = self.alpha * self.gamma
+        exponent = self.gamma - 1.0
         best_pid, best_key = -1, None
-        for pid in range(st.k):
-            if st.sizes[pid] >= self.max_size:
+        for pid, size in enumerate(st.sizes):
+            if size >= self.max_size:
                 continue
-            score = st.neighbours_in(v, pid) - self.alpha * self.gamma * st.sizes[
-                pid
-            ] ** (self.gamma - 1.0)
-            key = (score, -st.sizes[pid], -pid)
+            score = counts[pid] - penalty * size**exponent
+            key = (score, -size, -pid)
             if best_key is None or key > best_key:
                 best_pid, best_key = pid, key
         if best_pid < 0:  # all at the ν·n/k cap: spill to least loaded

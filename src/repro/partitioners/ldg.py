@@ -23,18 +23,17 @@ from repro.partitioners.base import PartitionState, StreamEdge, StreamingPartiti
 
 def ldg_choose(state: PartitionState, v: int) -> int:
     """Partition index maximising LDG's weighted neighbour count for ``v``."""
-    best_pid = -1
-    best_score = float("-inf")
-    for pid in range(state.k):
-        if state.sizes[pid] >= state.capacity:
+    counts = state.neighbour_counts(v)
+    cap, soft = state.capacity, state.soft_capacity
+    best_pid, best_key = -1, None
+    for pid, size in enumerate(state.sizes):
+        if size >= cap:
             continue
-        score = state.neighbours_in(v, pid) * (
-            1.0 - state.sizes[pid] / state.soft_capacity
-        )
+        score = counts[pid] * (1.0 - size / soft)
         # Deterministic tie-break: least loaded, then lowest index.
-        key = (score, -state.sizes[pid], -pid)
-        if best_pid < 0 or key > (best_score, -state.sizes[best_pid], -best_pid):
-            best_pid, best_score = pid, score
+        key = (score, -size, -pid)
+        if best_key is None or key > best_key:
+            best_pid, best_key = pid, key
     if best_pid < 0:  # every partition at capacity: spill to least loaded
         best_pid = state.least_loaded()
     return best_pid

@@ -7,10 +7,14 @@ workload {a-b-a-b path, a-b-c path}).
 """
 import pytest
 
+from repro.core.loom import LoomPartitioner
 from repro.core.motifs import Match, WindowMatcher
+from repro.core.signature import factor_key, graph_factors
 from repro.core.tpstry import TPSTry
-from repro.graphs.model import Edge
-from repro.workloads.queries import _path
+from repro.graphs import generators, streams
+from repro.graphs.model import Edge, LabeledGraph
+from repro.partitioners.base import stream_of
+from repro.workloads.queries import _path, workload
 
 
 def fig5_motifs():
@@ -228,3 +232,58 @@ class TestStreamScenarios:
             m.offer(Edge(i, 0, leaf))
         sizes = {len(mm.eids) for mm in m._all}
         assert sizes == {1, 2}
+
+
+def assert_sound(matcher):
+    """The matcher's soundness oracle: every live match's trie node is the
+    signature of its edge set recomputed from scratch, it sits in exactly
+    the matchList sets of its own vertices, and ``_by_eid`` indexes it
+    under exactly its edges."""
+    placed: dict[Match, set[int]] = {}
+    for v, ms in matcher.match_list.items():
+        assert ms, f"vertex {v} kept an empty matchList entry"
+        for m in ms:
+            placed.setdefault(m, set()).add(v)
+    indexed: dict[Match, set[int]] = {}
+    for eid, ms in matcher._by_eid.items():
+        assert ms, f"edge {eid} kept an empty _by_eid entry"
+        for m in ms:
+            indexed.setdefault(m, set()).add(eid)
+    assert placed.keys() == matcher._all
+    assert indexed.keys() == matcher._all
+    for m in matcher._all:
+        edges = [matcher.window[i].endpoints() for i in m.eids]
+        verts = {x for e in edges for x in e}
+        assert m.vertices == verts
+        assert placed[m] == verts
+        assert indexed[m] == set(m.eids)
+        g = LabeledGraph({x: matcher.labels[x] for x in verts}, edges)
+        assert m.node == factor_key(graph_factors(g, matcher.h))
+
+
+class TestSoundnessOracle:
+    def test_fig5_after_every_offer(self, matcher):
+        for e in (E1, E2, E3, E4, E5):
+            matcher.offer(e)
+            assert_sound(matcher)
+        matcher.remove_edges({E3.eid})
+        assert_sound(matcher)
+
+    @pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz", "lubm"])
+    @pytest.mark.parametrize("order", ["bfs", "random"])
+    def test_dataset_streams(self, dataset, order):
+        """Small generated streams through Loom with a short window, so
+        matches are created, extended, joined and evicted; the oracle holds
+        after every edge."""
+        g = generators.generate(dataset, scale=300)
+        motifs = TPSTry.from_workload(workload(dataset)).motifs(0.4)
+        p = LoomPartitioner(4, g.n_vertices, motifs=motifs, window=150)
+        n_matches = 0
+        for e in stream_of(g, streams.ordered_stream(g, order, seed=0)):
+            p.add_edge(e)
+            assert_sound(p.matcher)
+            n_matches += sum(len(m) > 1 for m in p.matcher._all)
+        p.finalize()
+        assert_sound(p.matcher)
+        assert not p.matcher._all
+        assert n_matches > 0  # multi-edge matches were exercised

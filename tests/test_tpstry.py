@@ -1,7 +1,7 @@
 """Unit tests for TPSTry++ construction and motif filtering (Sec. 2, Alg. 1)."""
 import pytest
 
-from repro.core.signature import LabelHash
+from repro.core.signature import LabelHash, fac, incremental_factors
 from repro.core.tpstry import ROOT_KEY, TPSTry
 from repro.graphs.model import LabeledGraph
 from repro.workloads.queries import _path, _star, workload
@@ -183,6 +183,54 @@ class TestMotifIndex:
 
     def test_empty_motifs_max_edges_zero(self, fig1_trie):
         assert fig1_trie.motifs(1.01).max_motif_edges() == 0
+
+
+class TestExtensionFilter:
+    """A node outside MotifIndex.extendable(la, lb) must have no motif
+    child for any la-lb edge, whatever the endpoint degrees."""
+
+    LABELS = ["a", "b", "c", "z"]  # z: a data label absent from the workload
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.4])
+    def test_excluded_node_has_no_motif_child(self, fig1_trie, threshold):
+        motifs = fig1_trie.motifs(threshold)
+        for key in motifs.keep:
+            n = fig1_trie.nodes[key].n_edges
+            for la in self.LABELS:
+                for lb in self.LABELS:
+                    if key in motifs.extendable(la, lb):
+                        continue
+                    for du in range(n + 1):
+                        for dv in range(n + 1):
+                            f = fac(fig1_trie.h, la, lb, du, dv)
+                            assert motifs.motif_child(key, f) is None
+
+    def test_includes_real_extensions(self, fig1_trie):
+        """a-b extends to a-b-a by another a-b edge, and to a-b-c by b-c."""
+        motifs = fig1_trie.motifs(0.0)
+        ab = next(
+            n.key for n in fig1_trie.nodes.values() if n.rep_edges == (("a", "b"),)
+        )
+        assert ab in motifs.extendable("a", "b")
+        assert ab in motifs.extendable("c", "b")
+        assert ab not in motifs.extendable("a", "c")
+        assert not motifs.extendable("z", "z")
+
+    def test_symmetric_in_labels(self, fig1_trie):
+        motifs = fig1_trie.motifs(0.4)
+        for la in self.LABELS:
+            for lb in self.LABELS:
+                assert motifs.extendable(la, lb) == motifs.extendable(lb, la)
+
+    def test_fac_matches_incremental_factors(self, fig1_trie):
+        labels = {0: "a", 1: "b", 2: "c"}
+        sub = [(0, 1), (1, 2)]
+        assert incremental_factors((0, 2), sub, labels, fig1_trie.h) == fac(
+            fig1_trie.h, "a", "c", 1, 1
+        )
+        assert incremental_factors((1, 0), (), labels, fig1_trie.h) == fac(
+            fig1_trie.h, "a", "b"
+        )
 
 
 class TestDatasetWorkloadTries:
