@@ -1,18 +1,17 @@
 """Benchmark for Table 2 — time to partition 10k edges.
 
-One benchmark per (dataset, system) cell, streaming a full BFS-ordered
-stream through a fresh partitioner (steady-state, same methodology as
-``jobs/table2_throughput.py``); the reproduced metric is the round time
-normalised per 10k edges. Shape to verify against the paper: Hash
-fastest, LDG ≈ Fennel, Loom slower by a small factor (paper: avg 2-3x
-Fennel, range 1.5-7.1x).
+One benchmark per (dataset, system) cell: ``harness.run_system`` streams a
+full BFS-ordered stream through a fresh partitioner (steady-state, the
+same unit as ``jobs/table2_throughput.py``), and the reproduced metric is
+its ms per 10k edges. Shape to verify against the paper: Hash fastest,
+LDG ≈ Fennel, Loom slower by a small factor (paper: avg 2-3x Fennel,
+range 1.5-7.1x).
 """
 import pytest
 
-from repro.eval.harness import build_partitioner
+from repro.eval.harness import run_system
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
-from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 SCALE = 3_000
@@ -25,24 +24,18 @@ _cache = {}
 def dataset(name):
     if name not in _cache:
         g = generate(name, scale=SCALE)
-        order = ordered_stream(g, "bfs", seed=0)
-        _cache[name] = (g, list(stream_of(g, order)), workload(name))
+        _cache[name] = (g, ordered_stream(g, "bfs", seed=0), workload(name))
     return _cache[name]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("name", DATASETS)
 def test_partition_stream(benchmark, name, system):
-    g, stream, wl = dataset(name)
-    benchmark.extra_info["n_edges"] = len(stream)
-    benchmark.extra_info["ms_per_10k_factor"] = 10_000 / len(stream)
-
-    def one_round():
-        p = build_partitioner(system, 8, g, wl, window=10_000)
-        for e in stream:
-            p.add_edge(e)
-        p.finalize()
-        return p
-
-    p = benchmark.pedantic(one_round, rounds=3, iterations=1)
-    assert len(p.state.assignment) > 0
+    g, order, wl = dataset(name)
+    run = benchmark.pedantic(
+        run_system, args=(system, g, order, 8, wl), kwargs={"window": 10_000},
+        rounds=3, iterations=1,
+    )
+    benchmark.extra_info["n_edges"] = run.n_edges
+    benchmark.extra_info["ms_per_10k"] = run.ms_per_10k
+    assert len(run.assignment) > 0

@@ -1,8 +1,9 @@
 """Shared plumbing for spark-submit job entrypoints.
 
 Each job exposes ``run(spark, ...) -> str`` returning the formatted table
-(so tests and benchmarks can call it) and a ``main()`` that builds the
-session exactly as conftest.py does when invoked via spark-submit.
+(so tests and benchmarks can call it) and a ``main()`` that builds its
+session with :func:`job_session`, the one session builder (conftest.py's
+``spark`` fixture uses it too).
 """
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ from pyspark.sql import SparkSession
 
 
 def job_session(app: str) -> SparkSession:
+    """A SparkSession with the configs honoured after JVM launch.
+
+    Broadcast joins are disabled so the workload matcher's n-way joins
+    exercise the shuffle path at test scale.
+    """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")

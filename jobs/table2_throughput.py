@@ -1,22 +1,22 @@
 """Table 2 — time (ms) to partition 10k edges, per system per dataset.
 
-Streams the first 10k edges of a BFS-ordered stream of each dataset
-through each partitioner and reports milliseconds per 10k edges, next to
-the paper's numbers. The paper's shape to check: Hash fastest, LDG and
-Fennel close, Loom slower by a small factor (paper: 1.5x-7.1x Fennel).
+Streams the whole BFS-ordered stream of each dataset through each
+partitioner (``harness.run_system``) and reports its time per 10k edges,
+next to the paper's numbers. The paper's Loom figure is a steady-state
+rate (42-72k edges/s); a 10k-edge prefix with t = 10k would never slide
+the window and would defer all matching to one end-of-stream drain. The
+paper's shape to check: Hash fastest, LDG and Fennel close, Loom slower
+by a small factor (paper: 1.5x-7.1x Fennel).
 
     spark-submit jobs/table2_throughput.py [--scale N]
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import SparkSession
 
-from repro.eval.harness import build_partitioner
+from repro.eval.harness import run_system
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
-from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 DATASET_ORDER = ["dblp", "provgen", "musicbrainz", "lubm", "lubm4000"]
@@ -32,26 +32,6 @@ PAPER_TABLE2 = {
 }
 
 
-def time_system(name: str, graph, order, k: int, wl, *,
-                window: int = 10_000) -> float:
-    """Steady-state milliseconds per 10k edges for partitioner ``name``.
-
-    The full stream is timed and normalised (the paper reports Loom's
-    *rate*, 42-72k edges/s, which is a steady-state number). Timing only
-    a 10k-edge prefix with t = 10k would measure a window that never
-    slides — all matching work deferred to a single end-of-stream drain —
-    which is not the regime the paper measures.
-    """
-    p = build_partitioner(name, k, graph, wl, window=window)
-    stream = list(stream_of(graph, order))
-    t0 = time.perf_counter()
-    for e in stream:
-        p.add_edge(e)
-    p.finalize()
-    elapsed = time.perf_counter() - t0
-    return elapsed / len(stream) * 10_000 * 1000
-
-
 def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
         window: int = 10_000, seed: int = 0) -> str:
     hdr = f"{'Dataset':<12} " + " ".join(
@@ -64,7 +44,7 @@ def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
         order = ordered_stream(g, "bfs", seed=seed)
         cells = []
         for s in SYSTEM_ORDER:
-            ms = time_system(s, g, order, k, wl, window=window)
+            ms = run_system(s, g, order, k, wl, window=window).ms_per_10k
             cells.append(f"{ms:>7.0f} ({PAPER_TABLE2[name][s]:>4d}ms)")
         lines.append(f"{name:<12} " + " ".join(f"{c:>18}" for c in cells))
     return "\n".join(lines)

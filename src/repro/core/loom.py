@@ -31,7 +31,7 @@ import math
 from repro.core.motifs import Match, WindowMatcher
 from repro.core.signature import fac
 from repro.core.tpstry import MotifIndex, TPSTry
-from repro.graphs.model import Edge, LabeledGraph
+from repro.graphs.model import LabeledGraph
 from repro.partitioners.base import StreamEdge, StreamingPartitioner
 from repro.partitioners.ldg import ldg_choose
 
@@ -107,16 +107,19 @@ class LoomPartitioner(StreamingPartitioner):
         self.alpha = alpha
         self.b = b
         self.labels: dict[int, str] = {}
-        self.matcher = WindowMatcher(motifs, self.labels)
+        self.matcher = WindowMatcher(motifs)
         self._type_supp_cache: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------- stream
     def add_edge(self, e: StreamEdge) -> None:
         st = self.state
-        self.labels.setdefault(e.u, e.lu)
-        self.labels.setdefault(e.v, e.lv)
+        # The matcher reads labels off the window's edges and equal
+        # opportunism reads self.labels: a vertex keeps its first label.
+        labels = self.labels
+        if labels.setdefault(e.u, e.lu) != e.lu or labels.setdefault(e.v, e.lv) != e.lv:
+            raise ValueError(f"stream edge {e.eid} relabels a vertex already seen")
         st.observe_edge(e.u, e.v)
-        entered = self.matcher.offer(Edge(e.eid, e.u, e.v))
+        entered = self.matcher.offer(e)
         if not entered:
             # Sec. 3: e can never be part of a motif match — assign now;
             # it "behaves as if never added to the window" and displaces
@@ -127,7 +130,7 @@ class LoomPartitioner(StreamingPartitioner):
             # and their placement is equal opportunism's decision.
             for w in (e.u, e.v):
                 if not st.is_assigned(w) and w not in self.matcher.match_list:
-                    st.assign(w, ldg_choose(st, w))
+                    st.assign(w, self.choose(w))
         # Slide the window: it spans the t most recently added stream
         # edges (Sec. 1.3), so buffered motif edges older than t stream
         # positions are evicted and permanently assigned.
@@ -143,10 +146,15 @@ class LoomPartitioner(StreamingPartitioner):
         while len(self.matcher):
             self._evict()
 
+    def choose(self, v: int) -> int:
+        """The LDG fallback for vertices equal opportunism does not place."""
+        return ldg_choose(self.state, v)
+
     # ----------------------------------------------------------- eviction
     def _evict(self) -> None:
         e_old = self.matcher.oldest()
-        assert e_old is not None
+        if e_old is None:
+            raise RuntimeError("eviction from an empty window")
         m_e = self.matcher.matches_containing(e_old.eid)
         if not m_e:  # unreachable: every window edge keeps its 1-edge match
             self._assign_edges({e_old.eid}, None)
@@ -214,11 +222,17 @@ class LoomPartitioner(StreamingPartitioner):
         return supp
 
     def _assign_edges(self, eids: set[int], pid: int | None) -> None:
-        """Assign every unassigned vertex of ``eids`` to ``pid`` (or via
-        LDG when ``pid`` is None), then retire the edges from the window."""
+        """Assign every unassigned vertex of ``eids`` to ``pid``, then retire
+        the edges from the window. A vertex goes to the LDG fallback instead
+        when ``pid`` is None or already at capacity, so a won cluster never
+        pushes its partition over the cap."""
         st = self.state
-        verts = sorted({x for i in eids for x in self.matcher.window[i].endpoints()})
+        window = self.matcher.window
+        verts = sorted({x for i in eids for x in (window[i].u, window[i].v)})
         for v in verts:
             if not st.is_assigned(v):
-                st.assign(v, pid if pid is not None else ldg_choose(st, v))
+                if pid is not None and st.sizes[pid] < st.capacity:
+                    st.assign(v, pid)
+                else:
+                    st.assign(v, self.choose(v))
         self.matcher.remove_edges(eids)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.core.signature import fac
 from repro.core.tpstry import FactorKey, MotifIndex
-from repro.graphs.model import Edge
+from repro.partitioners.base import StreamEdge
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,11 +63,11 @@ class Match:
 class WindowMatcher:
     """``P_temp`` + ``matchList`` state machine (one instance per stream)."""
 
-    def __init__(self, motifs: MotifIndex, labels: dict[int, str]):
+    def __init__(self, motifs: MotifIndex):
         self.motifs = motifs
-        self.labels = labels  # shared, grows as the stream reveals vertices
         self.h = motifs.trie.h
-        self.window: OrderedDict[int, Edge] = OrderedDict()  # eid -> Edge, arrival order
+        # eid -> edge, in arrival order; the edges carry their endpoint labels.
+        self.window: OrderedDict[int, StreamEdge] = OrderedDict()
         # vertex -> matches containing it; a vertex is a key exactly while
         # it belongs to some match.
         self.match_list: dict[int, set[Match]] = {}
@@ -87,14 +87,15 @@ class WindowMatcher:
     def __len__(self) -> int:
         return len(self.window)
 
-    def oldest(self) -> Edge | None:
+    def oldest(self) -> StreamEdge | None:
         return next(iter(self.window.values()), None)
 
     def _match(self, eids: frozenset[int], node: FactorKey) -> Match:
         # Built edge by edge, so the vertex set's iteration order (which
         # orders equal opportunism's floating-point neighbour sums) depends
         # only on the edge set.
-        verts = frozenset(x for i in eids for x in self.window[i].endpoints())
+        window = self.window
+        verts = frozenset(x for i in eids for x in (window[i].u, window[i].v))
         return Match(eids, node, verts)
 
     def _degrees(self, eids: frozenset[int]) -> dict[int, int]:
@@ -109,11 +110,10 @@ class WindowMatcher:
             self._deg[eids] = deg
         return deg
 
-    def _fac(self, e: Edge, deg: dict[int, int]) -> tuple[int, ...]:
+    def _fac(self, e: StreamEdge, deg: dict[int, int]) -> tuple[int, ...]:
         """``fac(e, g)`` from ``g``'s degree map, memoised per edge type
         and endpoint degrees."""
-        lu, lv = self.labels[e.u], self.labels[e.v]
-        key = (lu, lv, deg.get(e.u, 0), deg.get(e.v, 0))
+        key = (e.lu, e.lv, deg.get(e.u, 0), deg.get(e.v, 0))
         f = self._fac_memo.get(key)
         if f is None:
             f = self._fac_memo[key] = fac(self.h, *key)
@@ -131,7 +131,7 @@ class WindowMatcher:
         return True
 
     # ------------------------------------------------------------ main path
-    def offer(self, e: Edge) -> bool:
+    def offer(self, e: StreamEdge) -> bool:
         """Process a new stream edge. Returns True if it entered the window
         (matched a single-edge motif), False if the caller must assign it
         immediately."""
@@ -144,7 +144,7 @@ class WindowMatcher:
         self._join_pairs(e)
         return True
 
-    def _extend_with(self, e: Edge) -> None:
+    def _extend_with(self, e: StreamEdge) -> None:
         """Alg. 2 lines 4-8: grow each match touching e's endpoints by e.
 
         Only matches whose trie node can take an edge of e's type (see
@@ -152,8 +152,8 @@ class WindowMatcher:
         motif size never can. Candidates are snapshotted because _record
         mutates match_list.
         """
-        u, v = e.endpoints()
-        can = self.motifs.extendable(self.labels[u], self.labels[v])
+        u, v = e.u, e.v
+        can = self.motifs.extendable(e.lu, e.lv)
         if not can:
             return
         candidates = [
@@ -166,7 +166,7 @@ class WindowMatcher:
             if child is not None:
                 self._record(self._match(m.eids | {e.eid}, child))
 
-    def _join_pairs(self, e: Edge) -> None:
+    def _join_pairs(self, e: StreamEdge) -> None:
         """Alg. 2 lines 11-18: join matches across e's two endpoints.
 
         Any *newly formed* combined match must contain the just-arrived
@@ -178,7 +178,7 @@ class WindowMatcher:
         ``e``. A match already at the largest-motif size can never absorb
         another edge and is never paired.
         """
-        u, v = e.endpoints()
+        u, v = e.u, e.v
         # big + {e} is exactly what _extend_with already did, and
         # {e} + {e'} reaches the same trie node as extending {e'} by e
         # (the trie links every parent), so {e} itself never pairs.
@@ -224,7 +224,7 @@ class WindowMatcher:
             e2 = self.window[eid]
             if e2.u not in deg and e2.v not in deg:
                 continue  # trie children always add incident edges
-            if node not in self.motifs.extendable(self.labels[e2.u], self.labels[e2.v]):
+            if node not in self.motifs.extendable(e2.lu, e2.lv):
                 continue
             child = self.motifs.motif_child(node, self._fac(e2, deg))
             if child is not None:

@@ -10,7 +10,7 @@ schemas produced by :func:`vertices_df` / :func:`edges_df`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -21,21 +21,6 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A stream element: an undirected edge with a unique stream id."""
-
-    eid: int
-    u: int
-    v: int
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def key(self) -> tuple[int, int]:
-        return norm_edge(self.u, self.v)
-
-
 @dataclass
 class LabeledGraph:
     """An undirected labelled graph held in driver memory.
@@ -43,10 +28,13 @@ class LabeledGraph:
     ``labels`` maps vertex id -> label string; ``edges`` is a list of
     (u, v) pairs. Self-loops are rejected (query patterns in the paper are
     simple graphs); parallel edges are collapsed by :meth:`canonical_edges`.
+    The graph is not mutated after construction, so the canonical edge list
+    is computed once.
     """
 
     labels: dict[int, str]
     edges: list[tuple[int, int]] = field(default_factory=list)
+    _canonical: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for u, v in self.edges:
@@ -54,6 +42,7 @@ class LabeledGraph:
                 raise ValueError(f"self-loop ({u},{v}) not supported")
             if u not in self.labels or v not in self.labels:
                 raise ValueError(f"edge ({u},{v}) references unlabelled vertex")
+        self._canonical = sorted({norm_edge(u, v) for u, v in self.edges})
 
     @property
     def n_vertices(self) -> int:
@@ -61,18 +50,19 @@ class LabeledGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.canonical_edges())
+        return len(self._canonical)
 
     def canonical_edges(self) -> list[tuple[int, int]]:
-        """Deduplicated, canonically-oriented edge list, sorted."""
-        return sorted({norm_edge(u, v) for u, v in self.edges})
+        """Deduplicated, canonically-oriented edge list, sorted (shared:
+        callers must not mutate it)."""
+        return self._canonical
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.canonical_edges() if v in e)
+        return sum(1 for e in self._canonical if v in e)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.labels}
-        for u, v in self.canonical_edges():
+        for u, v in self._canonical:
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -91,13 +81,6 @@ def subgraph_degrees(edges: Iterable[tuple[int, int]]) -> dict[int, int]:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return deg
-
-
-def iter_stream(graph: LabeledGraph, order: list[tuple[int, int]] | None = None) -> Iterator[Edge]:
-    """Yield the graph's edges as stream :class:`Edge` elements."""
-    edges = order if order is not None else graph.canonical_edges()
-    for i, (u, v) in enumerate(edges):
-        yield Edge(i, u, v)
 
 
 def vertices_df(spark: SparkSession, graph: LabeledGraph) -> DataFrame:

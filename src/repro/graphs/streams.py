@@ -70,7 +70,8 @@ def _traversal_order(
                 if w not in visited:
                     visited.add(w)
                     frontier.append(w)
-    assert len(out) == graph.n_edges
+    if len(out) != graph.n_edges:
+        raise RuntimeError(f"traversal emitted {len(out)} of {graph.n_edges} edges")
     return out
 
 

@@ -7,6 +7,9 @@ produce the same output: a vertex-centric k-way assignment (Sec. 1.3).
 the incrementally-revealed adjacency (streaming heuristics score a vertex
 by its already-assigned neighbours). Once a vertex is assigned it is never
 moved and never replicated (strict one-pass streaming model, Sec. 1.2).
+
+:class:`StreamEdge` is the one edge type of the program: the stream, Loom's
+window and the tests all carry it.
 """
 from __future__ import annotations
 
@@ -14,9 +17,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.model import LabeledGraph
 
@@ -112,9 +112,19 @@ class StreamingPartitioner(ABC):
     def __init__(self, k: int, n_vertices: int, *, slack: float = 1.1):
         self.state = PartitionState(k, n_vertices, slack=slack)
 
-    @abstractmethod
     def add_edge(self, e: StreamEdge) -> None:
-        """Consume one stream element, updating assignments."""
+        """Consume one stream element. The vertex rule is applied to an edge
+        stream as the paper's footnote 7 describes for LDG: observe the edge,
+        then place each unassigned endpoint, in endpoint order."""
+        st = self.state
+        st.observe_edge(e.u, e.v)
+        for w in (e.u, e.v):
+            if not st.is_assigned(w):
+                st.assign(w, self.choose(w))
+
+    @abstractmethod
+    def choose(self, v: int) -> int:
+        """The partition for unassigned vertex ``v`` (the system's rule)."""
 
     def finalize(self) -> None:
         """Flush any buffered state (no-op for memoryless partitioners)."""
@@ -125,11 +135,3 @@ class StreamingPartitioner(ABC):
             self.add_edge(e)
         self.finalize()
         return dict(self.state.assignment)
-
-
-def assignment_df(spark: SparkSession, assignment: dict[int, int]) -> DataFrame:
-    """Spark DataFrame (vid: long, part: long) from an assignment map."""
-    pdf = pd.DataFrame(
-        {"vid": list(assignment.keys()), "part": list(assignment.values())}
-    )
-    return spark.createDataFrame(pdf)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from repro.partitioners.base import PartitionState, StreamEdge, StreamingPartitioner
+from repro.partitioners.base import StreamingPartitioner
 
 
 class FennelPartitioner(StreamingPartitioner):
@@ -37,7 +37,8 @@ class FennelPartitioner(StreamingPartitioner):
         self.alpha = math.sqrt(k) * max(1, n_edges) / n**1.5
         self.max_size = nu * n / k
 
-    def _choose(self, st: PartitionState, v: int) -> int:
+    def choose(self, v: int) -> int:
+        st = self.state
         counts = st.neighbour_counts(v)
         penalty = self.alpha * self.gamma
         exponent = self.gamma - 1.0
@@ -52,10 +53,3 @@ class FennelPartitioner(StreamingPartitioner):
         if best_pid < 0:  # all at the ν·n/k cap: spill to least loaded
             best_pid = st.least_loaded()
         return best_pid
-
-    def add_edge(self, e: StreamEdge) -> None:
-        st = self.state
-        st.observe_edge(e.u, e.v)
-        for w in (e.u, e.v):
-            if not st.is_assigned(w):
-                st.assign(w, self._choose(st, w))

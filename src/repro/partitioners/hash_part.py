@@ -8,7 +8,7 @@ reported relative to it in Figs. 7-8.
 """
 from __future__ import annotations
 
-from repro.partitioners.base import StreamEdge, StreamingPartitioner
+from repro.partitioners.base import StreamingPartitioner
 
 _KNUTH = 0x9E3779B1  # 2^32 / golden ratio; stable across processes
 
@@ -29,9 +29,5 @@ class HashPartitioner(StreamingPartitioner):
         super().__init__(k, n_vertices, slack=10.0)  # hash ignores capacity
         self.seed = seed
 
-    def add_edge(self, e: StreamEdge) -> None:
-        st = self.state
-        st.observe_edge(e.u, e.v)
-        for w in (e.u, e.v):
-            if not st.is_assigned(w):
-                st.assign(w, hash_vertex(w, st.k, seed=self.seed))
+    def choose(self, v: int) -> int:
+        return hash_vertex(v, self.state.k, seed=self.seed)

@@ -14,11 +14,12 @@ what keeps LDG's imbalance at the 1-3% the paper reports.
 LDG is defined for vertex streams; following the paper's footnote 7 ("LDG
 may partition either vertex or edge streams") we apply the rule to each
 not-yet-assigned endpoint as its edge arrives, in endpoint order, scoring
-against the adjacency revealed so far.
+against the adjacency revealed so far
+(:meth:`StreamingPartitioner.add_edge`).
 """
 from __future__ import annotations
 
-from repro.partitioners.base import PartitionState, StreamEdge, StreamingPartitioner
+from repro.partitioners.base import PartitionState, StreamingPartitioner
 
 
 def ldg_choose(state: PartitionState, v: int) -> int:
@@ -44,9 +45,5 @@ class LDGPartitioner(StreamingPartitioner):
 
     name = "ldg"
 
-    def add_edge(self, e: StreamEdge) -> None:
-        st = self.state
-        st.observe_edge(e.u, e.v)
-        for w in (e.u, e.v):
-            if not st.is_assigned(w):
-                st.assign(w, ldg_choose(st, w))
+    def choose(self, v: int) -> int:
+        return ldg_choose(self.state, v)

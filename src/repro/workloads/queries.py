@@ -84,5 +84,6 @@ def workload(name: str) -> Workload:
     """The workload for a dataset name; frequencies sum to 1."""
     w = WORKLOADS[name]()
     total = sum(f for _, f in w)
-    assert abs(total - 1.0) < 1e-9, f"frequencies of {name} sum to {total}"
+    if abs(total - 1.0) >= 1e-9:
+        raise ValueError(f"frequencies of {name} sum to {total}")
     return w

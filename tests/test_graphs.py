@@ -12,7 +12,7 @@ from repro.graphs.generators import (
     provgen_lite,
     schema_graph,
 )
-from repro.graphs.model import Edge, LabeledGraph, norm_edge, subgraph_degrees
+from repro.graphs.model import LabeledGraph, norm_edge, subgraph_degrees
 from repro.workloads.queries import workload
 
 
@@ -34,6 +34,11 @@ class TestModel:
         assert g.canonical_edges() == [(0, 1)]
         assert g.n_edges == 1
 
+    def test_canonical_edges_computed_once(self):
+        g = LabeledGraph({0: "a", 1: "b", 2: "c"}, [(2, 1), (0, 1)])
+        assert g.canonical_edges() is g.canonical_edges()
+        assert "_canonical" not in repr(g)
+
     def test_degree_and_adjacency(self):
         g = LabeledGraph({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
         assert g.degree(1) == 2
@@ -41,10 +46,6 @@ class TestModel:
 
     def test_subgraph_degrees(self):
         assert subgraph_degrees([(0, 1), (1, 2)]) == {0: 1, 1: 2, 2: 1}
-
-    def test_edge_key(self):
-        assert Edge(0, 5, 2).key() == (2, 5)
-        assert Edge(0, 5, 2).endpoints() == (5, 2)
 
     def test_label_set(self):
         g = LabeledGraph({0: "a", 1: "b", 2: "a"}, [(0, 1)])

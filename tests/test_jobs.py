@@ -32,18 +32,6 @@ class TestTable2:
         for line in lines[2:]:
             assert "(" in line  # paper reference values present
 
-    def test_time_system_returns_rate(self):
-        from repro.graphs.generators import generate
-        from repro.graphs.streams import ordered_stream
-        from repro.workloads.queries import workload
-
-        g = generate("provgen", scale=SCALE)
-        order = ordered_stream(g, "bfs", seed=0)
-        ms = table2_throughput.time_system(
-            "ldg", g, order, 4, workload("provgen"), window=100
-        )
-        assert ms > 0
-
 
 class TestFig7:
     def test_one_dataset_one_order(self, spark):

@@ -1,11 +1,16 @@
 """Unit tests for the Loom partitioner and equal opportunism (Sec. 4)."""
+import math
+from collections import Counter
+
 import pytest
 
 from repro.core.loom import DEFAULT_ALPHA, LoomPartitioner, ration
 from repro.core.tpstry import TPSTry
+from repro.eval.harness import run_system
+from repro.graphs import generators, streams
 from repro.graphs.model import LabeledGraph
-from repro.partitioners.base import stream_of
-from repro.workloads.queries import _path
+from repro.partitioners.base import StreamEdge, stream_of
+from repro.workloads.queries import _path, workload
 
 
 def simple_workload():
@@ -178,6 +183,31 @@ class TestStreaming:
         a1 = make_loom(k=4, n=60, window=15).partition(stream_of(g, edges))
         a2 = make_loom(k=4, n=60, window=15).partition(stream_of(g, edges))
         assert a1 == a2
+
+
+class TestInputContract:
+    def test_relabelled_vertex_raises(self):
+        """The matcher reads labels off the stream edges and equal
+        opportunism reads the first-seen labels; they may not disagree."""
+        p = make_loom()
+        p.add_edge(StreamEdge(0, 0, 1, "a", "b"))
+        p.add_edge(StreamEdge(1, 1, 2, "b", "c"))  # 1 keeps its label
+        with pytest.raises(ValueError, match="relabels"):
+            p.add_edge(StreamEdge(2, 1, 3, "c", "c"))
+
+
+class TestCapacity:
+    def test_won_cluster_never_overfills_partition(self):
+        """Once the winning partition is full, the rest of a won cluster
+        goes to the LDG fallback; on this stream a cluster fills its
+        winner part-way (placing all of it would end at 268 against a
+        capacity of 267)."""
+        g = generators.generate("dblp", scale=2_000)
+        order = streams.ordered_stream(g, "bfs", seed=1)
+        run = run_system("loom", g, order, 8, workload("dblp"), window=10_000)
+        capacity = math.ceil(1.1 * g.n_vertices / 8)
+        sizes = Counter(run.assignment.values())
+        assert max(sizes.values()) <= capacity
 
 
 class TestEdgeTypeSupport:

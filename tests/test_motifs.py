@@ -12,8 +12,8 @@ from repro.core.motifs import Match, WindowMatcher
 from repro.core.signature import factor_key, graph_factors
 from repro.core.tpstry import TPSTry
 from repro.graphs import generators, streams
-from repro.graphs.model import Edge, LabeledGraph
-from repro.partitioners.base import stream_of
+from repro.graphs.model import LabeledGraph
+from repro.partitioners.base import StreamEdge, stream_of
 from repro.workloads.queries import _path, workload
 
 
@@ -24,16 +24,22 @@ def fig5_motifs():
 
 # Fig. 5 vertex labels: 1,3 are 'a'; 2,4 are 'b'; 5,6 are 'c'.
 FIG5_LABELS = {1: "a", 2: "b", 3: "a", 4: "b", 5: "c", 6: "c"}
-E1 = Edge(1, 1, 2)  # a-b
-E2 = Edge(2, 3, 4)  # a-b
-E3 = Edge(3, 4, 5)  # b-c
-E4 = Edge(4, 2, 6)  # b-c (incident to e1)
-E5 = Edge(5, 2, 3)  # b-a, joins e1 and e2
+
+
+def edge(eid, u, v, labels=FIG5_LABELS):
+    return StreamEdge(eid, u, v, labels[u], labels[v])
+
+
+E1 = edge(1, 1, 2)  # a-b
+E2 = edge(2, 3, 4)  # a-b
+E3 = edge(3, 4, 5)  # b-c
+E4 = edge(4, 2, 6)  # b-c (incident to e1)
+E5 = edge(5, 2, 3)  # b-a, joins e1 and e2
 
 
 @pytest.fixture()
 def matcher():
-    return WindowMatcher(fig5_motifs(), dict(FIG5_LABELS))
+    return WindowMatcher(fig5_motifs())
 
 
 def edge_sets(matcher, v):
@@ -93,10 +99,8 @@ class TestGate:
     def test_non_motif_edge_rejected(self, matcher):
         """An edge whose type matches no single-edge motif never enters
         the window (Sec. 3)."""
-        labels = matcher.labels
-        labels[10] = "c"
-        labels[11] = "c"
-        assert matcher.offer(Edge(99, 10, 11)) is False  # c-c: not a motif
+        c_c = StreamEdge(99, 10, 11, "c", "c")  # not a motif
+        assert matcher.offer(c_c) is False
         assert len(matcher) == 0
         assert 10 not in matcher.match_list
 
@@ -174,7 +178,7 @@ class TestInvariants:
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         for m in matcher._all:
-            edges = [matcher.window[i].endpoints() for i in m.eids]
+            edges = [(matcher.window[i].u, matcher.window[i].v) for i in m.eids]
             verts = {x for p in edges for x in p}
             # union-find connectivity
             parent = {v: v for v in verts}
@@ -213,10 +217,10 @@ class TestStreamScenarios:
         """Two overlapping a-b-a paths share matches without clobbering."""
         motifs = fig5_motifs()
         labels = {1: "a", 2: "b", 3: "a", 4: "a"}
-        m = WindowMatcher(motifs, labels)
-        m.offer(Edge(1, 1, 2))
-        m.offer(Edge(2, 2, 3))
-        m.offer(Edge(3, 2, 4))
+        m = WindowMatcher(motifs)
+        m.offer(edge(1, 1, 2, labels))
+        m.offer(edge(2, 2, 3, labels))
+        m.offer(edge(3, 2, 4, labels))
         sets2 = {mm.eids for mm in m.match_list[2]}
         assert frozenset({1, 2}) in sets2  # 1-2-3 a-b-a
         assert frozenset({1, 3}) in sets2  # 1-2-4 a-b-a
@@ -227,9 +231,9 @@ class TestStreamScenarios:
         matches (a-b-a-b needs a second b)."""
         motifs = fig5_motifs()
         labels = {0: "b", 1: "a", 2: "a", 3: "a"}
-        m = WindowMatcher(motifs, labels)
+        m = WindowMatcher(motifs)
         for i, leaf in enumerate((1, 2, 3), start=1):
-            m.offer(Edge(i, 0, leaf))
+            m.offer(edge(i, 0, leaf, labels))
         sizes = {len(mm.eids) for mm in m._all}
         assert sizes == {1, 2}
 
@@ -251,13 +255,16 @@ def assert_sound(matcher):
             indexed.setdefault(m, set()).add(eid)
     assert placed.keys() == matcher._all
     assert indexed.keys() == matcher._all
+    labels = {}
+    for e in matcher.window.values():
+        labels[e.u], labels[e.v] = e.lu, e.lv
     for m in matcher._all:
-        edges = [matcher.window[i].endpoints() for i in m.eids]
+        edges = [(matcher.window[i].u, matcher.window[i].v) for i in m.eids]
         verts = {x for e in edges for x in e}
         assert m.vertices == verts
         assert placed[m] == verts
         assert indexed[m] == set(m.eids)
-        g = LabeledGraph({x: matcher.labels[x] for x in verts}, edges)
+        g = LabeledGraph({x: labels[x] for x in verts}, edges)
         assert m.node == factor_key(graph_factors(g, matcher.h))
 
 

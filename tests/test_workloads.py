@@ -70,6 +70,14 @@ class TestWorkloads:
         with pytest.raises(KeyError):
             workload("snap-twitter")
 
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    def test_frequencies_not_summing_to_one_raise(self, monkeypatch, scale):
+        """A ValueError, not an assert, so the check survives ``python -O``."""
+        skewed = [(p, f * scale) for p, f in workload("dblp")]
+        monkeypatch.setitem(WORKLOADS, "dblp", lambda: skewed)
+        with pytest.raises(ValueError, match="sum to"):
+            workload("dblp")
+
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_motifs_exist_at_paper_threshold(self, name):
         """Every workload yields motifs at the paper's T = 40%, including
