@@ -23,6 +23,15 @@ The same SQL text runs unchanged on DuckDB, which is how
 Embeddings are counted per bijection (automorphic images count
 separately); this is uniform across partitioners so relative ipt is
 unaffected.
+
+``ipt_sql`` charges every embedding its cut pattern edges directly, so it
+needs the partitions in ``dedges`` and runs once per partitioning.
+``repro.eval.ipt`` instead scores with two queries that split the work:
+``weights_sql`` (and ``workload_weights_sql``, every pattern side by side)
+runs the same join once per graph and spreads each embedding over the
+``dedges`` rows its pattern edges map onto, and ``cut_sql`` sums the
+weights of cut rows per partitioning. ``ipt_sql`` is the reference they
+are checked against.
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ from repro.graphs.model import LabeledGraph
 
 DEDGES = "dedges"  # (src, dst, src_label, dst_label, src_part, dst_part)
 VERTICES = "vertices"  # (vid, label, part) — stats/balance queries only
+WEIGHTS = "edge_weights"  # (src_part, dst_part, w0, ..., w{n-1})
 
 
 def _plan(pattern: LabeledGraph) -> tuple[list[str], list[str], dict[int, tuple[str, str]]]:
@@ -90,3 +100,52 @@ def ipt_sql(pattern: LabeledGraph) -> str:
         f"COALESCE(SUM({cut}), 0) AS n_ipt "
         f"FROM {', '.join(froms)} WHERE {' AND '.join(wheres)}"
     )
+
+
+def weights_sql(pattern: LabeledGraph) -> str:
+    """SELECT (src, dst, w): for every directed ``dedges`` row, the number
+    w of (embedding, pattern edge j) pairs that map edge j onto the row.
+    Rows of weight 0 are absent.
+
+    The join and predicates are ``ipt_sql``'s; a j table spreads every
+    embedding over its pattern edges (``explode`` is Spark-only).
+    """
+    froms, wheres, _ = _plan(pattern)
+    js = range(pattern.n_edges)
+    spread = " UNION ALL ".join(f"SELECT {j} AS j" for j in js)
+
+    def pick(col: str) -> str:
+        return f"CASE pe.j {' '.join(f'WHEN {j} THEN e{j}.{col}' for j in js)} END"
+
+    return (
+        f"SELECT src, dst, COUNT(*) AS w FROM ("
+        f"SELECT {pick('src')} AS src, {pick('dst')} AS dst "
+        f"FROM {', '.join(froms)}, ({spread}) pe "
+        f"WHERE {' AND '.join(wheres)}) spread GROUP BY src, dst"
+    )
+
+
+def workload_weights_sql(patterns: list[LabeledGraph]) -> str:
+    """SELECT (src, dst, w0, ..., w{n-1}): every pattern's ``weights_sql``
+    side by side, 0 where pattern q does not touch the row."""
+    per_query = " UNION ALL ".join(
+        f"SELECT {q} AS q, src, dst, w FROM ({weights_sql(p)}) w{q}"
+        for q, p in enumerate(patterns)
+    )
+    cols = ", ".join(
+        f"SUM(CASE WHEN q = {q} THEN w ELSE 0 END) AS w{q}"
+        for q in range(len(patterns))
+    )
+    return f"SELECT src, dst, {cols} FROM ({per_query}) per_query GROUP BY src, dst"
+
+
+def cut_sql(n_queries: int) -> str:
+    """SELECT n_ipt0, ..., n_ipt{n-1}: per query, the weighted edge cut of
+    the ``WEIGHTS`` rows — the summed weight of rows whose endpoints live in
+    different partitions. Equals ``ipt_sql``'s ``n_ipt`` per pattern."""
+    cols = ", ".join(
+        f"COALESCE(SUM(CASE WHEN src_part <> dst_part THEN w{q} ELSE 0 END), 0)"
+        f" AS n_ipt{q}"
+        for q in range(n_queries)
+    )
+    return f"SELECT {cols} FROM {WEIGHTS}"

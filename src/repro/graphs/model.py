@@ -10,6 +10,7 @@ schemas produced by :func:`vertices_df` / :func:`edges_df`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Iterable
 
 import pandas as pd
@@ -29,7 +30,9 @@ class LabeledGraph:
     (u, v) pairs. Self-loops are rejected (query patterns in the paper are
     simple graphs); parallel edges are collapsed by :meth:`canonical_edges`.
     The graph is not mutated after construction, so the canonical edge list
-    is computed once.
+    is computed once; when ``edges`` already is that list (sorted, unique
+    ``(min, max)`` tuples, as the generators pass it) it is shared, not
+    copied.
     """
 
     labels: dict[int, str]
@@ -42,7 +45,14 @@ class LabeledGraph:
                 raise ValueError(f"self-loop ({u},{v}) not supported")
             if u not in self.labels or v not in self.labels:
                 raise ValueError(f"edge ({u},{v}) references unlabelled vertex")
-        self._canonical = sorted({norm_edge(u, v) for u, v in self.edges})
+        ce = self.edges
+        if not (
+            isinstance(ce, list)
+            and all(type(e) is tuple and e[0] < e[1] for e in ce)
+            and all(a < b for a, b in pairwise(ce))
+        ):
+            ce = sorted({norm_edge(u, v) for u, v in ce})
+        self._canonical = ce
 
     @property
     def n_vertices(self) -> int:

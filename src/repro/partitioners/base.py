@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from repro.graphs.model import LabeledGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEdge:
     """One element of a labelled edge stream."""
 

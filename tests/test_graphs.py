@@ -39,6 +39,16 @@ class TestModel:
         assert g.canonical_edges() is g.canonical_edges()
         assert "_canonical" not in repr(g)
 
+    def test_canonical_edge_list_shared_when_already_canonical(self):
+        labels = {0: "a", 1: "b", 2: "c"}
+        edges = [(0, 1), (0, 2), (1, 2)]
+        g = LabeledGraph(labels, edges)
+        assert g.canonical_edges() is edges
+        for other in ([(1, 0), (0, 2)], [(0, 2), (0, 1)], [(0, 1), (0, 1)], [[0, 1]]):
+            g = LabeledGraph(labels, other)
+            assert g.canonical_edges() is not other
+            assert g.canonical_edges() == sorted({norm_edge(u, v) for u, v in other})
+
     def test_degree_and_adjacency(self):
         g = LabeledGraph({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
         assert g.degree(1) == 2

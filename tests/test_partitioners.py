@@ -212,3 +212,10 @@ class TestStreamOf:
         g = LabeledGraph({0: "x", 1: "y"}, [(0, 1)])
         [e] = list(stream_of(g, g.canonical_edges()))
         assert e == StreamEdge(0, 0, 1, "x", "y")
+
+    def test_stream_edges_have_no_instance_dict(self):
+        """Streams are held whole in memory: a slotted edge is ~40 bytes
+        smaller than a dict-backed one."""
+        e = StreamEdge(0, 0, 1, "x", "y")
+        assert not hasattr(e, "__dict__")
+        assert hash(e) == hash(StreamEdge(0, 0, 1, "x", "y"))
