@@ -23,6 +23,14 @@ for the typo note). The winning partition receives every vertex of its
 rationed matches; those edges leave the window, and matches sharing them
 are dropped. Defaults follow the paper: window t = 10k edges, support
 threshold T = 40%, α = 2/3, b = 1.1.
+
+Only partitions holding a vertex of their rationed prefix are bid for.
+This is exact: every term of any other partition's bid is ±0.0, so its
+bid is exactly 0.0, and a single largest positive bid wins whatever the
+other key components are. Only a tie among the top bids, or no positive
+bid, needs the full comparison of all k partitions and its neighbour
+scan. The LDG fallback scores only the partitions a vertex touches
+(:func:`repro.partitioners.ldg.ldg_choose`).
 """
 from __future__ import annotations
 
@@ -48,15 +56,7 @@ def ration(
     *,
     alpha: float = DEFAULT_ALPHA,
 ) -> float:
-    """The rationing function ``l(S_i)`` over vertex counts ``sizes``
-    (one entry of :func:`rations`)."""
-    return rations(sizes, capacity, alpha=alpha)[i]
-
-
-def rations(
-    sizes: list[int], capacity: int, *, alpha: float = DEFAULT_ALPHA
-) -> list[float]:
-    """The rationing function ``l(S_i)`` of every partition.
+    """The rationing function ``l(S_i)`` over vertex counts ``sizes``.
 
     Eq. 2 with the semantics of the paper's worked example: the smallest
     partition gets the full ration (α = 1); a partition over the maximum
@@ -66,16 +66,12 @@ def rations(
     a partition 33% larger than the smallest, which rules out a cap
     relative to |V(S_min)| (see DESIGN.md on Eq. 2).
     """
-    s_min = min(sizes)
-    out = []
-    for s_i in sizes:
-        if s_i <= s_min:
-            out.append(1.0)  # the smallest partition always gets the full ration
-        elif s_i >= capacity:
-            out.append(0.0)  # over the maximum-imbalance cap: may not bid
-        else:
-            out.append((s_min / s_i) * alpha)
-    return out
+    s_min, s_i = min(sizes), sizes[i]
+    if s_i <= s_min:
+        return 1.0  # the smallest partition always gets the full ration
+    if s_i >= capacity:
+        return 0.0  # over the maximum-imbalance cap: may not bid
+    return (s_min / s_i) * alpha
 
 
 class LoomPartitioner(StreamingPartitioner):
@@ -162,35 +158,35 @@ class LoomPartitioner(StreamingPartitioner):
         self._equal_opportunism(m_e)
 
     def _equal_opportunism(self, m_e: list[Match]) -> None:
-        """Pick the winning partition + rationed prefix of ``M_e``."""
+        """Assign the winning partition its rationed prefix of ``M_e``."""
+        pid, n = self._bid(m_e)
+        eids = {eid for m in m_e[:n] for eid in m.eids}
+        self._assign_edges(eids, pid)
+
+    def _bid(self, m_e: list[Match]) -> tuple[int, int]:
+        """The winning partition and the length of its rationed prefix."""
         st = self.state
+        assignment = st.assignment
         supports = [self.motifs.support(m.node) for m in m_e]
-        # LDG-style secondary signal: where the whole cluster's unassigned
-        # vertices already have assigned neighbours. Equal opportunism
-        # "extends ideas present in LDG" (Sec. 4); without this, clusters
-        # whose own vertices are all unassigned (bid 0 everywhere) would
-        # scatter round-robin instead of following their neighbourhood.
-        # Neighbour pulls are weighted by the workload relevance of the
-        # connecting edge type (its single-edge support in the TPSTry++,
-        # plus a small floor so unqueried edges still count): the paper's
-        # own rationale — edges "may not be traversed with equal
-        # likelihood given a workload Q" — applied to the tie-break.
-        cluster = {v for m in m_e for v in m.vertices}
-        nbr_counts = [0.0] * st.k
-        for v in cluster:
-            if not st.is_assigned(v):
-                for w in st.adj.get(v, ()):
-                    pid = st.assignment.get(w, -1)
-                    if pid >= 0:
-                        nbr_counts[pid] += 0.1 + self._edge_type_support(v, w)
-        # N(S_i, E_k) for every match and partition, one pass per match.
-        in_part = [st.partition_counts(m.vertices) for m in m_e]
-        sizes, cap, n_m = st.sizes, st.capacity, len(m_e)
-        best_pid, best_key, best_n = 0, None, 1
-        for pid, l_i in enumerate(rations(sizes, cap, alpha=self.alpha)):
+        # N(S_i, E_k) > 0 as (match index, count) pairs, in match order, for
+        # every partition holding a vertex of the cluster.
+        held: dict[int, list[tuple[int, int]]] = {}
+        for j, m in enumerate(m_e):
+            counts: dict[int, int] = {}
+            for v in m.vertices:
+                pid = assignment.get(v)
+                if pid is not None:
+                    counts[pid] = counts.get(pid, 0) + 1
+            for pid, c in counts.items():
+                held.setdefault(pid, []).append((j, c))
+        sizes, cap, n_m, alpha = st.sizes, st.capacity, len(m_e), self.alpha
+        bids: dict[int, float] = {}
+        lengths: dict[int, int] = {}
+        for pid, pairs in held.items():
+            l_i = ration(sizes, pid, cap, alpha=alpha)
             if l_i <= 0.0:
                 continue
-            n_i = max(1, math.ceil(l_i * n_m))
+            n_i = lengths[pid] = max(1, math.ceil(l_i * n_m))
             # Residual weight against the hard cap b·n/k: it stays
             # positive until the ration (l = 0 at the cap) excludes the
             # partition, so a cluster's anchor partition never loses its
@@ -198,16 +194,49 @@ class LoomPartitioner(StreamingPartitioner):
             # fallback fills to the soft cap n/k, below this.
             resid = 1.0 - sizes[pid] / cap
             total = 0.0
-            for counts, supp in zip(in_part[:n_i], supports[:n_i]):
-                total += counts[pid] * resid * supp
-            key = (total, nbr_counts[pid] * max(resid, 0.0), -sizes[pid], -pid)
+            for j, c in pairs:
+                if j >= n_i:
+                    break
+                total += c * resid * supports[j]
+            bids[pid] = total
+        # Every other partition bids exactly 0.0 (its terms are all ±0.0),
+        # so a single largest positive bid wins outright.
+        top = max(bids.values(), default=0.0)
+        if top > 0.0:
+            winners = [pid for pid, bid in bids.items() if bid == top]
+            if len(winners) == 1:
+                return winners[0], lengths[winners[0]]
+        # A tie among the top bids, or no positive bid: compare every
+        # partition allowed to bid, with an LDG-style secondary signal —
+        # where the whole cluster's unassigned vertices already have
+        # assigned neighbours. Equal opportunism "extends ideas present in
+        # LDG" (Sec. 4); without this, clusters whose own vertices are all
+        # unassigned (bid 0 everywhere) would scatter round-robin instead
+        # of following their neighbourhood. Neighbour pulls are weighted by
+        # the workload relevance of the connecting edge type (its
+        # single-edge support in the TPSTry++, plus a small floor so
+        # unqueried edges still count): the paper's own rationale — edges
+        # "may not be traversed with equal likelihood given a workload Q"
+        # — applied to the tie-break.
+        cluster = {v for m in m_e for v in m.vertices}
+        nbr_counts = [0.0] * st.k
+        for v in cluster:
+            if v not in assignment:
+                for w in st.adj.get(v, ()):
+                    pid = assignment.get(w, -1)
+                    if pid >= 0:
+                        nbr_counts[pid] += 0.1 + self._edge_type_support(v, w)
+        # The smallest partition always has a full ration, so one bids.
+        best_pid, best_key, best_n = -1, None, 1
+        for pid in range(st.k):
+            l_i = ration(sizes, pid, cap, alpha=alpha)
+            if l_i <= 0.0:
+                continue
+            resid = 1.0 - sizes[pid] / cap
+            key = (bids.get(pid, 0.0), nbr_counts[pid] * max(resid, 0.0), -sizes[pid], -pid)
             if best_key is None or key > best_key:
-                best_pid, best_key, best_n = pid, key, n_i
-        if best_key is None:  # every partition over the imbalance cap
-            best_pid, best_n = st.least_loaded(), 1
-        won = m_e[:best_n]
-        eids = {eid for m in won for eid in m.eids}
-        self._assign_edges(eids, best_pid)
+                best_pid, best_key, best_n = pid, key, max(1, math.ceil(l_i * n_m))
+        return best_pid, best_n
 
     def _edge_type_support(self, u: int, v: int) -> float:
         """Single-edge motif support of the (label(u), label(v)) edge type

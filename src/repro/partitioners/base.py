@@ -76,26 +76,42 @@ class PartitionState:
     def is_assigned(self, v: int) -> bool:
         return v in self.assignment
 
-    def partition_counts(self, vertices: Iterable[int]) -> list[int]:
-        """|vertices ∩ S_i| for every partition i, in one pass."""
-        counts = [0] * self.k
+    def neighbour_counts(self, v: int) -> dict[int, int]:
+        """{i: |N(v) ∩ S_i|} over the revealed adjacency, for every partition
+        holding a neighbour of ``v`` (the partitions ``v`` touches)."""
+        counts: dict[int, int] = {}
         assignment = self.assignment
-        for w in vertices:
-            pid = assignment.get(w, -1)
-            if pid >= 0:
-                counts[pid] += 1
+        for w in self.adj.get(v, ()):
+            pid = assignment.get(w)
+            if pid is not None:
+                counts[pid] = counts.get(pid, 0) + 1
         return counts
-
-    def neighbour_counts(self, v: int) -> list[int]:
-        """|N(v) ∩ S_i| for every partition i over the revealed adjacency."""
-        return self.partition_counts(self.adj.get(v, ()))
 
     def neighbours_in(self, v: int, pid: int) -> int:
         """|N(v) ∩ S_pid| over the revealed adjacency."""
-        return self.neighbour_counts(v)[pid]
+        return self.neighbour_counts(v).get(pid, 0)
 
     def least_loaded(self) -> int:
-        return min(range(self.k), key=lambda i: (self.sizes[i], i))
+        """The smallest partition, lowest index first."""
+        return self.sizes.index(min(self.sizes))
+
+    def candidates(self, touched: dict[int, int], cap: float) -> list[int]:
+        """The partitions below ``cap`` that can win a vertex score whose
+        value on a partition not in ``touched`` depends only on its size and
+        never rises with it (LDG, Fennel with γ ≥ 1): every touched one, plus
+        the least-loaded untouched one. The other untouched partitions score
+        no higher than that one and lose the (-size, -pid) tie-break, so an
+        argmax over these candidates equals the argmax over all k."""
+        sizes = self.sizes
+        out = [pid for pid in touched if sizes[pid] < cap]
+        pid = self.least_loaded()
+        if pid in touched:  # rare: scan for the least-loaded untouched one
+            rest = [(s, i) for i, s in enumerate(sizes) if s < cap and i not in touched]
+            if rest:
+                out.append(min(rest)[1])
+        elif sizes[pid] < cap:
+            out.append(pid)
+        return out
 
     def imbalance(self) -> float:
         """max partition size over the balanced ideal n/k."""

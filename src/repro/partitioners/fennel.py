@@ -10,6 +10,13 @@ subject to the hard balance constraint |S_i| < ν · n / k (ν = 1.1, the
 same maximum imbalance Loom adopts for b). As with LDG we apply the
 vertex rule to each unassigned endpoint of the arriving edge, scored over
 the adjacency revealed so far.
+
+γ must be at least 1. Then the penalty never falls as a partition grows,
+so of the partitions holding no neighbour of ``v`` the least loaded,
+lowest index, scores highest and wins the tie-break; only it and the
+partitions ``v`` touches are scored (:meth:`PartitionState.candidates`),
+which picks exactly the partition a scan of all k would. (γ < 1 would
+also reward size and divide by zero at an empty partition: 0 ** (γ − 1).)
 """
 from __future__ import annotations
 
@@ -30,6 +37,8 @@ class FennelPartitioner(StreamingPartitioner):
         gamma: float = 1.5,
         nu: float = 1.1,
     ):
+        if not gamma >= 1.0:
+            raise ValueError(f"Fennel needs gamma >= 1, got {gamma}")
         super().__init__(k, n_vertices, slack=nu)
         self.gamma = gamma
         self.nu = nu
@@ -40,13 +49,13 @@ class FennelPartitioner(StreamingPartitioner):
     def choose(self, v: int) -> int:
         st = self.state
         counts = st.neighbour_counts(v)
+        sizes = st.sizes
         penalty = self.alpha * self.gamma
         exponent = self.gamma - 1.0
         best_pid, best_key = -1, None
-        for pid, size in enumerate(st.sizes):
-            if size >= self.max_size:
-                continue
-            score = counts[pid] - penalty * size**exponent
+        for pid in st.candidates(counts, self.max_size):
+            size = sizes[pid]
+            score = counts.get(pid, 0) - penalty * size**exponent
             key = (score, -size, -pid)
             if best_key is None or key > best_key:
                 best_pid, best_key = pid, key

@@ -16,6 +16,11 @@ may partition either vertex or edge streams") we apply the rule to each
 not-yet-assigned endpoint as its edge arrives, in endpoint order, scoring
 against the adjacency revealed so far
 (:meth:`StreamingPartitioner.add_edge`).
+
+Only the partitions ``v`` touches and the least-loaded other one are
+scored (:meth:`PartitionState.candidates`). This is exact: a partition
+holding no neighbour of ``v`` scores 0 (or -0.0 above ``C``, which compares
+equal), so among those the least loaded, lowest index, wins the tie-break.
 """
 from __future__ import annotations
 
@@ -25,12 +30,11 @@ from repro.partitioners.base import PartitionState, StreamingPartitioner
 def ldg_choose(state: PartitionState, v: int) -> int:
     """Partition index maximising LDG's weighted neighbour count for ``v``."""
     counts = state.neighbour_counts(v)
-    cap, soft = state.capacity, state.soft_capacity
+    sizes, soft = state.sizes, state.soft_capacity
     best_pid, best_key = -1, None
-    for pid, size in enumerate(state.sizes):
-        if size >= cap:
-            continue
-        score = counts[pid] * (1.0 - size / soft)
+    for pid in state.candidates(counts, state.capacity):
+        size = sizes[pid]
+        score = counts.get(pid, 0) * (1.0 - size / soft)
         # Deterministic tie-break: least loaded, then lowest index.
         key = (score, -size, -pid)
         if best_key is None or key > best_key:

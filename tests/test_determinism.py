@@ -5,6 +5,9 @@ Each digest fingerprints the vertex assignment of one system on one
 harness's default window. The values were recorded before the matcher's
 extension filter and the one-pass partition counts went in, so any change
 to what the partitioners decide fails here, not only in ``results/``.
+The k = 32 digests were recorded before LDG, Fennel and equal opportunism
+scored only the partitions a vertex or cluster touches; at k = 32 most
+partitions are untouched, so they guard that shortcut.
 
 Loom is deterministic but fragile in one known way.
 ``WindowMatcher.matches_containing`` sorts a cluster by (support, size,
@@ -84,6 +87,58 @@ PINNED = {
 }
 
 
+PINNED_K32 = {
+    ("dblp", "bfs"): {
+        "hash": "ebda810ed962dcbc", "ldg": "2ddcbc9829fafaa0",
+        "fennel": "75f47a676c813c5d", "loom": "ebfd08f77ca75887",
+    },
+    ("dblp", "dfs"): {
+        "hash": "ebda810ed962dcbc", "ldg": "4ad0a048a7369b07",
+        "fennel": "94e73a7a2a75425f", "loom": "9075130fbea12f66",
+    },
+    ("dblp", "random"): {
+        "hash": "ebda810ed962dcbc", "ldg": "a89de24db21a205e",
+        "fennel": "22073184fdb30995", "loom": "dc2fdbbcd6b509e4",
+    },
+    ("provgen", "bfs"): {
+        "hash": "d07eeb8931e0985f", "ldg": "86151e8e1dc5bdd6",
+        "fennel": "3612aee9d875c94e", "loom": "1abecee969604b54",
+    },
+    ("provgen", "dfs"): {
+        "hash": "d07eeb8931e0985f", "ldg": "3c1d1516c2f9d74b",
+        "fennel": "f098fefa5c92fd06", "loom": "af639979cfa1bd7c",
+    },
+    ("provgen", "random"): {
+        "hash": "d07eeb8931e0985f", "ldg": "d001fad051f8a94f",
+        "fennel": "72d17c4f2d927f07", "loom": "54ffb683c10333d7",
+    },
+    ("musicbrainz", "bfs"): {
+        "hash": "1d29cf979ecbfa63", "ldg": "80ccb3853de25bf7",
+        "fennel": "89f06fd8c39729b8", "loom": "ca9d72023051edf0",
+    },
+    ("musicbrainz", "dfs"): {
+        "hash": "1d29cf979ecbfa63", "ldg": "8fe0e2cc768f1313",
+        "fennel": "c33c83042fd497e5", "loom": "afb2add671495072",
+    },
+    ("musicbrainz", "random"): {
+        "hash": "1d29cf979ecbfa63", "ldg": "cfd5e753919b7967",
+        "fennel": "549e64994194bf91", "loom": "06aae196b40b0387",
+    },
+    ("lubm", "bfs"): {
+        "hash": "a90fe04c085d6e71", "ldg": "95ebea8ad0fd5618",
+        "fennel": "6aa4090e06f64c48", "loom": "c6331a986cde838a",
+    },
+    ("lubm", "dfs"): {
+        "hash": "a90fe04c085d6e71", "ldg": "2df02279c78477f2",
+        "fennel": "d01417034ffe50fd", "loom": "f1900d991357562b",
+    },
+    ("lubm", "random"): {
+        "hash": "a90fe04c085d6e71", "ldg": "afeff4db6df3938b",
+        "fennel": "cc85085b5e29cded", "loom": "952bcfea9ff0e5dd",
+    },
+}
+
+
 def digest(assignment: dict[int, int]) -> str:
     """Order-independent fingerprint of a vertex assignment."""
     h = hashlib.sha256()
@@ -92,13 +147,15 @@ def digest(assignment: dict[int, int]) -> str:
     return h.hexdigest()[:16]
 
 
-def case_digests(dataset: str, order: str, systems=harness.SYSTEMS) -> dict[str, str]:
+def case_digests(
+    dataset: str, order: str, systems=harness.SYSTEMS, k: int = K
+) -> dict[str, str]:
     """Digest of every system's assignment for one (dataset, order)."""
     graph = generators.generate(dataset, scale=SCALE)
     edges = streams.ordered_stream(graph, order, seed=0)
     wl = queries.workload(dataset)
     return {
-        s: digest(harness.run_system(s, graph, edges, K, wl).assignment)
+        s: digest(harness.run_system(s, graph, edges, k, wl).assignment)
         for s in systems
     }
 
@@ -107,6 +164,12 @@ def case_digests(dataset: str, order: str, systems=harness.SYSTEMS) -> dict[str,
 @pytest.mark.parametrize("order", ["bfs", "dfs", "random"])
 def test_assignments_pinned(dataset, order):
     assert case_digests(dataset, order) == PINNED[dataset, order]
+
+
+@pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz", "lubm"])
+@pytest.mark.parametrize("order", ["bfs", "dfs", "random"])
+def test_assignments_pinned_k32(dataset, order):
+    assert case_digests(dataset, order, k=32) == PINNED_K32[dataset, order]
 
 
 # Loom at the benchmark's scale 20,000 and window t = 10,000, on the cases

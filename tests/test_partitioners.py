@@ -191,6 +191,13 @@ class TestFennel:
     def test_gamma_default(self):
         assert FennelPartitioner(2, 10, 20).gamma == 1.5
 
+    @pytest.mark.parametrize("gamma", [0.8, 0.0, float("nan")])
+    def test_gamma_below_one_rejected(self, gamma):
+        """γ < 1 would reward partition size (and 0 ** (γ - 1) divides by
+        zero at an empty partition)."""
+        with pytest.raises(ValueError):
+            FennelPartitioner(4, 100, 400, gamma=gamma)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("cls", [HashPartitioner, LDGPartitioner])
