@@ -1,8 +1,9 @@
 """Table 2 — time (ms) to partition 10k edges, per system per dataset.
 
 Streams the whole BFS-ordered stream of each dataset through each
-partitioner (``harness.run_system``) and reports its time per 10k edges,
-next to the paper's numbers. The paper's Loom figure is a steady-state
+partitioner (``harness.run_system``) once untimed, to warm up, then
+``TIMED_PASSES`` times, and reports the median time per 10k edges next to
+the paper's numbers. The paper's Loom figure is a steady-state
 rate (42-72k edges/s); a 10k-edge prefix with t = 10k would never slide
 the window and would defer all matching to one end-of-stream drain. The
 paper's shape to check: Hash fastest, LDG and Fennel close, Loom slower
@@ -11,6 +12,8 @@ by a small factor (paper: 1.5x-7.1x Fennel).
     spark-submit jobs/table2_throughput.py [--scale N]
 """
 from __future__ import annotations
+
+import statistics
 
 from pyspark.sql import SparkSession
 
@@ -21,6 +24,7 @@ from repro.workloads.queries import workload
 
 DATASET_ORDER = ["dblp", "provgen", "musicbrainz", "lubm", "lubm4000"]
 SYSTEM_ORDER = ["ldg", "fennel", "loom", "hash"]
+TIMED_PASSES = 3
 
 # Paper Table 2 (ms per 10k edges) for side-by-side reporting.
 PAPER_TABLE2 = {
@@ -44,7 +48,11 @@ def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
         order = ordered_stream(g, "bfs", seed=seed)
         cells = []
         for s in SYSTEM_ORDER:
-            ms = run_system(s, g, order, k, wl, window=window).ms_per_10k
+            run_system(s, g, order, k, wl, window=window)  # warm-up
+            ms = statistics.median(
+                run_system(s, g, order, k, wl, window=window).ms_per_10k
+                for _ in range(TIMED_PASSES)
+            )
             cells.append(f"{ms:>7.0f} ({PAPER_TABLE2[name][s]:>4d}ms)")
         lines.append(f"{name:<12} " + " ".join(f"{c:>18}" for c in cells))
     return "\n".join(lines)

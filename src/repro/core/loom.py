@@ -55,6 +55,7 @@ def ration(
     capacity: int,
     *,
     alpha: float = DEFAULT_ALPHA,
+    s_min: int | None = None,
 ) -> float:
     """The rationing function ``l(S_i)`` over vertex counts ``sizes``.
 
@@ -64,9 +65,12 @@ def ration(
     scaled by the user α. The imbalance cap is Fennel-style — against the
     capacity ``b·n/k`` — because the example applies the α = 2/3 branch to
     a partition 33% larger than the smallest, which rules out a cap
-    relative to |V(S_min)| (see DESIGN.md on Eq. 2).
+    relative to |V(S_min)| (see DESIGN.md on Eq. 2). ``s_min`` is
+    ``min(sizes)``, for a caller that has it already.
     """
-    s_min, s_i = min(sizes), sizes[i]
+    if s_min is None:
+        s_min = min(sizes)
+    s_i = sizes[i]
     if s_i <= s_min:
         return 1.0  # the smallest partition always gets the full ration
     if s_i >= capacity:
@@ -134,27 +138,26 @@ class LoomPartitioner(StreamingPartitioner):
             oldest = self.matcher.oldest()
             if oldest is None or oldest.eid > e.eid - self.t:
                 break
-            self._evict()
+            self._evict(oldest)
 
     def finalize(self) -> None:
         """Drain ``P_temp`` at end of stream (the window is only a staging
         partition; every edge must end up permanently placed)."""
-        while len(self.matcher):
-            self._evict()
+        while (oldest := self.matcher.oldest()) is not None:
+            self._evict(oldest)
 
     def choose(self, v: int) -> int:
         """The LDG fallback for vertices equal opportunism does not place."""
         return ldg_choose(self.state, v)
 
     # ----------------------------------------------------------- eviction
-    def _evict(self) -> None:
-        e_old = self.matcher.oldest()
-        if e_old is None:
-            raise RuntimeError("eviction from an empty window")
+    def _evict(self, e_old: StreamEdge) -> None:
+        """Evict window edge ``e_old`` with its cluster of matches ``M_e``."""
         m_e = self.matcher.matches_containing(e_old.eid)
-        if not m_e:  # unreachable: every window edge keeps its 1-edge match
-            self._assign_edges({e_old.eid}, None)
-            return
+        if not m_e:
+            # Every window edge keeps its single-edge match until the edge
+            # leaves the window, so this is a broken matcher invariant.
+            raise RuntimeError(f"window edge {e_old.eid} has no motif match")
         self._equal_opportunism(m_e)
 
     def _equal_opportunism(self, m_e: list[Match]) -> None:
@@ -180,10 +183,11 @@ class LoomPartitioner(StreamingPartitioner):
             for pid, c in counts.items():
                 held.setdefault(pid, []).append((j, c))
         sizes, cap, n_m, alpha = st.sizes, st.capacity, len(m_e), self.alpha
+        s_min = min(sizes)
         bids: dict[int, float] = {}
         lengths: dict[int, int] = {}
         for pid, pairs in held.items():
-            l_i = ration(sizes, pid, cap, alpha=alpha)
+            l_i = ration(sizes, pid, cap, alpha=alpha, s_min=s_min)
             if l_i <= 0.0:
                 continue
             n_i = lengths[pid] = max(1, math.ceil(l_i * n_m))
@@ -229,7 +233,7 @@ class LoomPartitioner(StreamingPartitioner):
         # The smallest partition always has a full ration, so one bids.
         best_pid, best_key, best_n = -1, None, 1
         for pid in range(st.k):
-            l_i = ration(sizes, pid, cap, alpha=alpha)
+            l_i = ration(sizes, pid, cap, alpha=alpha, s_min=s_min)
             if l_i <= 0.0:
                 continue
             resid = 1.0 - sizes[pid] / cap

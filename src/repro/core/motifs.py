@@ -15,10 +15,13 @@ Per arriving edge ``e = (v1, v2)``:
 2. Otherwise ``e`` joins the window and ``⟨{e}, m⟩`` joins matchList.
 3. Every existing match touching ``v1`` or ``v2`` is extended with ``e`` if
    the match's trie node has a motif child whose factor difference equals
-   ``fac(e, match)`` (Alg. 2 lines 4-8). The edge-type extension filter
-   (:meth:`MotifIndex.extendable`) first drops every match whose trie node no
-   edge of ``e``'s label pair can extend, whatever the endpoint degrees, so
-   only the few matches ``e`` can grow reach ``fac``/``motif_child``.
+   ``fac(e, match)`` (Alg. 2 lines 4-8). ``fac(e, match)`` depends only on
+   ``e``'s labels and its endpoints' degrees in the match, so the step table
+   of ``e``'s label pair (:meth:`MotifIndex.table`) maps (trie node, degree
+   of ``v1``, degree of ``v2``) straight to that child. Only matches whose
+   node has some step are looked up, and when ``⟨{e}, m⟩`` is the only
+   match of one endpoint, only the nodes the table can grow from the other
+   endpoint alone; when there are none, the matchList is not scanned.
 4. Every pair of matches drawn from matchList(v1) x matchList(v2) of which
    at least one contains ``e`` is recursively joined edge-by-edge from the
    smaller into the larger, recording a new match only when the smaller
@@ -39,25 +42,44 @@ matches equal opportunism rations (and thus the assignment).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.core.signature import fac
 from repro.core.tpstry import FactorKey, MotifIndex
 from repro.partitioners.base import StreamEdge
 
 
-@dataclass(frozen=True, slots=True)
 class Match:
     """A motif-matching sub-graph in the window: its window edge ids, the
-    TPSTry++ node (motif) it matches, and its vertices. The vertex set is
-    derived from the edges, so it takes no part in equality or hashing."""
+    TPSTry++ node (motif) it matches, and its vertices.
 
-    eids: frozenset[int]
-    node: FactorKey
-    vertices: frozenset[int] = field(compare=False)
+    Equality and hashing use ``(eids, node)`` only. The hash is computed
+    once and equals ``hash((eids, node))``, so sets of matches lay out and
+    iterate exactly as for that tuple. The vertex set and ``deg`` (vertex
+    -> degree in the match, filled on first use by
+    :meth:`WindowMatcher._degrees`) derive from the edges."""
+
+    __slots__ = ("eids", "node", "vertices", "deg", "_hash")
+
+    def __init__(self, eids: frozenset[int], node: FactorKey, vertices: frozenset[int]):
+        self.eids = eids
+        self.node = node
+        self.vertices = vertices
+        self.deg: dict[int, int] | None = None
+        self._hash = hash((eids, node))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Match):
+            return NotImplemented
+        return self.eids == other.eids and self.node == other.node
 
     def __len__(self) -> int:
         return len(self.eids)
+
+    def __repr__(self) -> str:
+        return f"Match({sorted(self.eids)}, {self.node})"
 
 
 class WindowMatcher:
@@ -74,14 +96,8 @@ class WindowMatcher:
         self._all: set[Match] = set()
         self._by_eid: dict[int, set[Match]] = {}  # edge -> matches containing it
         self._max_edges = motifs.max_motif_edges()
-        # Per-edge-set vertex degrees (sub-graph degrees drive fac(e, g));
-        # cached so hub vertices with hundreds of matches don't recompute
-        # them for every arriving edge.
-        self._deg: dict[frozenset[int], dict[int, int]] = {}
-        # (label_u, label_v, deg_u_in_g, deg_v_in_g) -> fac key memo: the
-        # incremental factors depend only on endpoint labels and their
-        # current sub-graph degrees.
-        self._fac_memo: dict[tuple[str, str, int, int], tuple[int, ...]] = {}
+        # (label_u, label_v) -> single-edge fac key (the window gate's).
+        self._fac_memo: dict[tuple[str, str], FactorKey] = {}
 
     # ---------------------------------------------------------------- utils
     def __len__(self) -> int:
@@ -98,26 +114,19 @@ class WindowMatcher:
         verts = frozenset(x for i in eids for x in (window[i].u, window[i].v))
         return Match(eids, node, verts)
 
-    def _degrees(self, eids: frozenset[int]) -> dict[int, int]:
-        """Cached sub-graph degree map for a window edge set."""
-        deg = self._deg.get(eids)
+    def _degrees(self, m: Match) -> dict[int, int]:
+        """``m``'s sub-graph degree map (it drives ``fac(e, m)``), cached
+        on ``m`` so hub vertices with hundreds of matches don't recompute
+        it for every arriving edge."""
+        deg = m.deg
         if deg is None:
-            deg = {}
-            for i in eids:
-                e = self.window[i]
+            deg = m.deg = {}
+            window = self.window
+            for i in m.eids:
+                e = window[i]
                 deg[e.u] = deg.get(e.u, 0) + 1
                 deg[e.v] = deg.get(e.v, 0) + 1
-            self._deg[eids] = deg
         return deg
-
-    def _fac(self, e: StreamEdge, deg: dict[int, int]) -> tuple[int, ...]:
-        """``fac(e, g)`` from ``g``'s degree map, memoised per edge type
-        and endpoint degrees."""
-        key = (e.lu, e.lv, deg.get(e.u, 0), deg.get(e.v, 0))
-        f = self._fac_memo.get(key)
-        if f is None:
-            f = self._fac_memo[key] = fac(self.h, *key)
-        return f
 
     def _record(self, m: Match) -> bool:
         """Insert a match into matchList for all its vertices; dedup."""
@@ -135,7 +144,10 @@ class WindowMatcher:
         """Process a new stream edge. Returns True if it entered the window
         (matched a single-edge motif), False if the caller must assign it
         immediately."""
-        node = self.motifs.single_edge_motif(self._fac(e, {}))
+        f = self._fac_memo.get((e.lu, e.lv))
+        if f is None:
+            f = self._fac_memo[(e.lu, e.lv)] = fac(self.h, e.lu, e.lv)
+        node = self.motifs.single_edge_motif(f)
         if node is None:
             return False
         self.window[e.eid] = e
@@ -147,24 +159,37 @@ class WindowMatcher:
     def _extend_with(self, e: StreamEdge) -> None:
         """Alg. 2 lines 4-8: grow each match touching e's endpoints by e.
 
-        Only matches whose trie node can take an edge of e's type (see
-        :meth:`MotifIndex.extendable`) are tried; a match at the largest
-        motif size never can. Candidates are snapshotted because _record
-        mutates match_list.
+        The step table of e's label pair gives each match's child from its
+        node and the degrees of ``u`` and ``v`` in it. Only matches whose
+        node has a step are looked up; a match at the largest motif size
+        never has one. ``⟨{e}, m⟩`` is in both endpoints' matchList sets, so
+        when it is all of ``v``'s, every other match holds ``u`` and not
+        ``v`` (degrees ``du >= 1, dv = 0``) and only ``from_u`` nodes can
+        grow; with none, the union is never built (and symmetrically for
+        ``u``). A scan that runs iterates the same union in the same order,
+        so matches are recorded in the same order as by a per-match
+        ``motif_child(fac(e, m))`` lookup (the tie order of
+        :meth:`matches_containing` depends on it). The union is a snapshot:
+        _record adds to both sets.
         """
-        u, v = e.u, e.v
-        can = self.motifs.extendable(e.lu, e.lv)
+        u, v, eid = e.u, e.v, e.eid
+        table = self.motifs.table(e.lu, e.lv)
+        at_u, at_v = self.match_list[u], self.match_list[v]
+        if len(at_v) == 1:
+            can = table.from_u
+        elif len(at_u) == 1:
+            can = table.from_v
+        else:
+            can = table.nodes
         if not can:
             return
-        candidates = [
-            m
-            for m in self.match_list.get(u, set()) | self.match_list.get(v, set())
-            if m.node in can and e.eid not in m.eids
-        ]
-        for m in candidates:
-            child = self.motifs.motif_child(m.node, self._fac(e, self._degrees(m.eids)))
-            if child is not None:
-                self._record(self._match(m.eids | {e.eid}, child))
+        steps = table.steps
+        for m in at_u | at_v:
+            if m.node in can and eid not in m.eids:
+                deg = m.deg or self._degrees(m)
+                child = steps.get((m.node, deg.get(u, 0), deg.get(v, 0)))
+                if child is not None:
+                    self._record(self._match(m.eids | {eid}, child))
 
     def _join_pairs(self, e: StreamEdge) -> None:
         """Alg. 2 lines 11-18: join matches across e's two endpoints.
@@ -199,34 +224,31 @@ class WindowMatcher:
                 big, small = (m1, m2) if len(m1.eids) >= len(m2.eids) else (m2, m1)
                 rest = small.eids - big.eids
                 if len(big.eids) + len(rest) <= self._max_edges:
-                    self._grow(big.eids, big.node, rest)
+                    self._grow(big.eids, big.node, rest, self._degrees(big))
 
     def _grow(
         self,
         base: frozenset[int],
         node: FactorKey,
         remaining: frozenset[int],
-        deg: dict[int, int] | None = None,
+        deg: dict[int, int],
     ) -> None:
         """Recursively add ``remaining`` edges to ``base``; record the match
         only when every edge has been placed ("grow ... updating matchList
         only if all edges from the smaller match have been added").
 
-        ``deg`` carries the sub-graph degrees through the recursion so
-        transient edge sets never enter the degree cache.
+        ``deg`` is ``base``'s sub-graph degree map; it is copied, never
+        changed, on the way down.
         """
         if not remaining:
             self._record(self._match(base, node))
             return
-        if deg is None:
-            deg = self._degrees(base)
         for eid in sorted(remaining):
             e2 = self.window[eid]
-            if e2.u not in deg and e2.v not in deg:
+            du, dv = deg.get(e2.u, 0), deg.get(e2.v, 0)
+            if not du and not dv:
                 continue  # trie children always add incident edges
-            if node not in self.motifs.extendable(e2.lu, e2.lv):
-                continue
-            child = self.motifs.motif_child(node, self._fac(e2, deg))
+            child = self.motifs.table(e2.lu, e2.lv).steps.get((node, du, dv))
             if child is not None:
                 ndeg = dict(deg)
                 ndeg[e2.u] = ndeg.get(e2.u, 0) + 1
@@ -264,6 +286,5 @@ class WindowMatcher:
                     s.discard(m)
                     if not s:
                         del self._by_eid[eid]
-            self._deg.pop(m.eids, None)
         for eid in eids:
             self.window.pop(eid, None)

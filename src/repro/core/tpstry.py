@@ -20,6 +20,7 @@ uses for streaming matching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.signature import (
     DEFAULT_P,
@@ -165,6 +166,31 @@ class TPSTry:
         return MotifIndex(self, keep, threshold)
 
 
+class StepTable(NamedTuple):
+    """Every motif step an edge of one ordered label pair ``(la, lb)`` can
+    take: ``steps[(node, du, dv)]`` is the motif child that an ``la``-``lb``
+    edge whose endpoints have degrees ``du`` and ``dv`` in a match of
+    ``node`` reaches (hits only; every absent in-range key is a miss).
+
+    ``from_u`` holds the nodes with a hit at ``du >= 1, dv = 0`` (an edge
+    that grows a match from its ``la`` end only), ``from_v`` the mirror
+    set, and ``nodes`` every node with a hit."""
+
+    steps: dict[tuple[FactorKey, int, int], FactorKey]
+    nodes: frozenset[FactorKey]
+    from_u: frozenset[FactorKey]
+    from_v: frozenset[FactorKey]
+
+    @classmethod
+    def of(cls, steps: dict[tuple[FactorKey, int, int], FactorKey]) -> "StepTable":
+        return cls(
+            steps,
+            frozenset(n for n, _, _ in steps),
+            frozenset(n for n, du, dv in steps if du >= 1 and dv == 0),
+            frozenset(n for n, du, dv in steps if du == 0 and dv >= 1),
+        )
+
+
 class MotifIndex:
     """The motif-filtered view of a TPSTry++ used for stream matching."""
 
@@ -172,10 +198,10 @@ class MotifIndex:
         self.trie = trie
         self.keep = keep
         self.threshold = threshold
-        # Unordered label pair -> the motif nodes an edge of that type can
-        # extend. Filled lazily: the stream reveals labels absent from the
-        # workload.
-        self._extendable: dict[tuple[str, str], frozenset[FactorKey]] = {}
+        self._support = {k: trie.support(k) for k in trie.nodes}
+        # Ordered label pair -> its step table. Filled lazily: the stream
+        # reveals labels absent from the workload.
+        self._tables: dict[tuple[str, str], StepTable] = {}
 
     def __len__(self) -> int:
         return len(self.keep)
@@ -184,7 +210,7 @@ class MotifIndex:
         return key in self.keep
 
     def support(self, key: FactorKey) -> float:
-        return self.trie.support(key)
+        return self._support[key]
 
     def single_edge_motif(self, fac: FactorKey) -> FactorKey | None:
         """Motif node for a single edge with factors ``fac``, if any
@@ -204,31 +230,38 @@ class MotifIndex:
                 return child
         return None
 
-    def extendable(self, la: str, lb: str) -> frozenset[FactorKey]:
-        """Edge-type extension filter: the motif nodes that an ``la``-``lb``
-        edge takes to a motif child for some endpoint degrees ``du, dv`` in
+    def table(self, la: str, lb: str) -> StepTable:
+        """The step table of ``la``-``lb`` edges, built on first use from
+        :meth:`motif_child` over every endpoint degree pair ``du, dv`` in
         ``[0, n_edges(node)]``.
 
         A match's vertices have at most as many sub-graph edges as the
-        match, so a node outside the set proves :meth:`motif_child` returns
-        ``None`` for every such edge. Decided by the same factor arithmetic
-        as matching (never by comparing query labels), so signature
-        collisions behave exactly as they do in :meth:`motif_child`.
+        match, so these are all the degrees an extension can see, and a
+        lookup equals ``motif_child(node, fac(h, la, lb, du, dv))``. Decided
+        by the same factor arithmetic as matching (never by comparing query
+        labels), so signature collisions behave exactly as they do there.
+        ``fac`` is symmetric, so the same calls fill the mirror table of
+        ``lb``-``la`` edges.
         """
-        pair = (la, lb) if la <= lb else (lb, la)
-        nodes = self._extendable.get(pair)
-        if nodes is None:
-            found = set()
+        table = self._tables.get((la, lb))
+        if table is None:
+            steps, mirror = {}, {}
             for key in self.keep:
                 degrees = range(self.trie.nodes[key].n_edges + 1)
-                if any(
-                    self.motif_child(key, fac(self.trie.h, la, lb, du, dv)) is not None
-                    for du in degrees
-                    for dv in degrees
-                ):
-                    found.add(key)
-            nodes = self._extendable[pair] = frozenset(found)
-        return nodes
+                for du in degrees:
+                    for dv in degrees:
+                        child = self.motif_child(key, fac(self.trie.h, la, lb, du, dv))
+                        if child is not None:
+                            steps[(key, du, dv)] = mirror[(key, dv, du)] = child
+            self._tables[(lb, la)] = StepTable.of(mirror)
+            table = self._tables[(la, lb)] = StepTable.of(steps)
+        return table
+
+    def extendable(self, la: str, lb: str) -> frozenset[FactorKey]:
+        """Edge-type extension filter: the motif nodes that an ``la``-``lb``
+        edge takes to a motif child for some endpoint degrees (a node
+        outside it proves :meth:`motif_child` misses for every such edge)."""
+        return self.table(la, lb).nodes
 
     def max_motif_edges(self) -> int:
         """Edge count of the largest motif (bounds match growth)."""

@@ -4,10 +4,13 @@ Each job's ``run(spark, ...)`` must produce a well-formed table; these
 run the full pipelines end-to-end (generation -> ordering -> partition ->
 Spark SQL ipt) on graphs small enough for CI.
 """
+from collections import Counter
+
 import pytest
 
 from jobs import fig7_relative_ipt, fig8_k_sweep, fig9_window_sweep
 from jobs import table1_datasets, table2_throughput
+from repro.eval.harness import run_system
 
 SCALE = 400
 
@@ -31,6 +34,23 @@ class TestTable2:
         assert len(lines) == 2 + 5
         for line in lines[2:]:
             assert "(" in line  # paper reference values present
+
+
+    def test_each_cell_warmed_then_timed_three_times(self, spark, monkeypatch):
+        """One untimed warm-up pass, then the median of TIMED_PASSES."""
+        seen = []
+
+        def counting(name, graph, *args, **kwargs):
+            seen.append((name, graph))
+            return run_system(name, graph, *args, **kwargs)
+
+        monkeypatch.setattr(table2_throughput, "run_system", counting)
+        table2_throughput.run(spark, scale=SCALE, window=200)
+        counts = Counter((name, id(graph)) for name, graph in seen)
+        n_datasets = len(table2_throughput.DATASET_ORDER)
+        assert len(counts) == n_datasets * len(table2_throughput.SYSTEM_ORDER)
+        assert set(counts.values()) == {1 + table2_throughput.TIMED_PASSES}
+        assert table2_throughput.TIMED_PASSES == 3
 
 
 class TestFig7:

@@ -195,6 +195,17 @@ class TestInputContract:
         with pytest.raises(ValueError, match="relabels"):
             p.add_edge(StreamEdge(2, 1, 3, "c", "c"))
 
+    def test_window_edge_without_match_raises(self):
+        """Every window edge keeps its single-edge match until it leaves
+        the window; an edge without one is a broken matcher invariant,
+        raised on eviction rather than placed by a fallback."""
+        p = make_loom(window=2)
+        p.add_edge(StreamEdge(0, 0, 1, "a", "b"))
+        p.add_edge(StreamEdge(1, 1, 2, "b", "c"))
+        del p.matcher._by_eid[0]
+        with pytest.raises(RuntimeError, match="window edge 0 has no motif match"):
+            p.add_edge(StreamEdge(2, 3, 4, "a", "b"))
+
 
 class TestCapacity:
     def test_won_cluster_never_overfills_partition(self):

@@ -6,15 +6,17 @@ m3 = a-b-c, m4 = a-b-a, m5 = b-a-b and m6 = a-b-a-b (all sub-graphs of the
 workload {a-b-a-b path, a-b-c path}).
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.loom import LoomPartitioner
 from repro.core.motifs import Match, WindowMatcher
-from repro.core.signature import factor_key, graph_factors
+from repro.core.signature import fac, factor_key, graph_factors
 from repro.core.tpstry import TPSTry
 from repro.graphs import generators, streams
 from repro.graphs.model import LabeledGraph
 from repro.partitioners.base import StreamEdge, stream_of
-from repro.workloads.queries import _path, workload
+from repro.workloads.queries import _path, _star, workload
 
 
 def fig5_motifs():
@@ -294,3 +296,188 @@ class TestSoundnessOracle:
         assert_sound(p.matcher)
         assert not p.matcher._all
         assert n_matches > 0  # multi-edge matches were exercised
+
+
+class TestMatchContract:
+    def test_hash_is_the_key_tuple_hash(self):
+        m = Match(frozenset({3, 7}), (2, 5, 9), frozenset({1, 2, 4}))
+        assert hash(m) == hash((m.eids, m.node))
+
+    def test_equality_ignores_vertices_and_degrees(self):
+        a = Match(frozenset({3, 7}), (2, 5, 9), frozenset({1, 2, 4}))
+        b = Match(frozenset({3, 7}), (2, 5, 9), frozenset({8}))
+        b.deg = {8: 2}
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Match(frozenset({3, 7}), (2, 5, 11), a.vertices)
+        assert a != Match(frozenset({3}), (2, 5, 9), a.vertices)
+        assert a != (a.eids, a.node)
+
+    def test_degrees_cached_on_the_match(self, matcher):
+        for e in (E1, E2, E3, E4, E5):
+            matcher.offer(e)
+        for m in matcher._all:
+            deg = matcher._degrees(m)
+            assert matcher._degrees(m) is deg
+            want = {}
+            for i in m.eids:
+                for x in (matcher.window[i].u, matcher.window[i].v):
+                    want[x] = want.get(x, 0) + 1
+            assert deg == want
+
+
+class ReferenceMatcher(WindowMatcher):
+    """Match extension as it was before the step tables: the union of both
+    endpoints' matchLists, the edge-type ``extendable`` filter, then
+    ``motif_child(fac(e, m))`` for every candidate, from degrees recounted
+    off the window."""
+
+    def _window_degrees(self, eids):
+        deg = {}
+        for i in eids:
+            e = self.window[i]
+            deg[e.u] = deg.get(e.u, 0) + 1
+            deg[e.v] = deg.get(e.v, 0) + 1
+        return deg
+
+    def _extend_with(self, e):
+        u, v = e.u, e.v
+        can = self.motifs.extendable(e.lu, e.lv)
+        if not can:
+            return
+        candidates = [
+            m
+            for m in self.match_list.get(u, set()) | self.match_list.get(v, set())
+            if m.node in can and e.eid not in m.eids
+        ]
+        for m in candidates:
+            deg = self._window_degrees(m.eids)
+            f = fac(self.h, e.lu, e.lv, deg.get(u, 0), deg.get(v, 0))
+            child = self.motifs.motif_child(m.node, f)
+            if child is not None:
+                self._record(self._match(m.eids | {e.eid}, child))
+
+    def _grow(self, base, node, remaining, deg=None):
+        if not remaining:
+            self._record(self._match(base, node))
+            return
+        deg = self._window_degrees(base)
+        for eid in sorted(remaining):
+            e2 = self.window[eid]
+            if e2.u not in deg and e2.v not in deg:
+                continue
+            if node not in self.motifs.extendable(e2.lu, e2.lv):
+                continue
+            f = fac(self.h, e2.lu, e2.lv, deg.get(e2.u, 0), deg.get(e2.v, 0))
+            child = self.motifs.motif_child(node, f)
+            if child is not None:
+                self._grow(base | {eid}, child, remaining - {eid})
+
+
+def assert_same_order(got, want):
+    """Every matchList, ``_by_eid`` entry and the match set iterate in the
+    same order (the order equal opportunism's tie-break reads)."""
+    assert list(got.window) == list(want.window)
+    assert list(got.match_list) == list(want.match_list)
+    for v, ms in want.match_list.items():
+        assert list(got.match_list[v]) == list(ms), f"matchList of vertex {v}"
+    assert list(got._by_eid) == list(want._by_eid)
+    for eid, ms in want._by_eid.items():
+        assert list(got._by_eid[eid]) == list(ms), f"_by_eid of edge {eid}"
+    assert list(got._all) == list(want._all)
+
+
+def run_both(motifs, stream, k, window):
+    """Loom over ``stream`` with this matcher and with the reference one;
+    the order check runs after every edge and after the final drain."""
+    n = 1 + max(max(e.u, e.v) for e in stream)
+    got = LoomPartitioner(k, n, motifs=motifs, window=window)
+    want = LoomPartitioner(k, n, motifs=motifs, window=window)
+    want.matcher = ReferenceMatcher(motifs)
+    n_multi = 0
+    for e in stream:
+        got.add_edge(e)
+        want.add_edge(e)
+        assert_same_order(got.matcher, want.matcher)
+        n_multi += sum(len(m) > 1 for m in want.matcher._all)
+    got.finalize()
+    want.finalize()
+    assert_same_order(got.matcher, want.matcher)
+    assert got.state.assignment == want.state.assignment
+    return n_multi
+
+
+def fig1_motifs():
+    """The Fig. 1 workload's trie at T = 0: its 3-edge motifs (the a-b-a-b
+    path, the b-{a,a,c} star) make ``_join_pairs``/``_grow`` run."""
+    q1 = LabeledGraph({0: "a", 1: "b", 2: "a", 3: "b"}, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    wl = [(q1, 1.0), (_path(["a", "b", "a"]), 1.0), (_star("b", ["a", "a", "c"]), 1.0)]
+    return TPSTry.from_workload(wl, p=251, seed=7).motifs(0.0)
+
+
+@st.composite
+def fig1_streams(draw):
+    """A stream over at most 10 vertices labelled a/b/c/z (z is in no
+    query), without self-loops; a vertex pair may repeat."""
+    n = draw(st.integers(2, 10))
+    labels = draw(st.lists(st.sampled_from("abcz"), min_size=n, max_size=n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    stream = [StreamEdge(i, u, v, labels[u], labels[v]) for i, (u, v) in enumerate(pairs)]
+    return stream, draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3]))
+
+
+class TestRecordOrderOracle:
+    """The step tables and the side rule record the same matches in the
+    same order as the reference, so every set iterates identically."""
+
+    MOTIFS = fig1_motifs()
+
+    def test_fig1_motifs_go_past_two_edges(self):
+        assert self.MOTIFS.max_motif_edges() == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(fig1_streams())
+    def test_fig1_streams(self, case):
+        stream, window, k = case
+        run_both(self.MOTIFS, stream, k, window)
+
+    def test_fig1_joins_run(self):
+        """Edge 3 (b0-a2) links a1-b0 and a2-b4: the a1-b0-a2-b4 path
+        (edges 0, 2, 3) can only come from a join, since extension adds
+        just the new edge to one existing match."""
+        labels = {0: "b", 1: "a", 2: "a", 3: "c", 4: "b"}
+        pairs = [(0, 1), (0, 3), (2, 4), (0, 2), (1, 4)]
+        stream = [StreamEdge(i, u, v, labels[u], labels[v]) for i, (u, v) in enumerate(pairs)]
+        matcher = WindowMatcher(self.MOTIFS)
+        for e in stream[:4]:
+            matcher.offer(e)
+        assert frozenset({0, 2, 3}) in {m.eids for m in matcher._all}
+        assert run_both(self.MOTIFS, stream, 2, 10) > 0
+
+    def test_fig1_cycle_closes(self):
+        """The last edge of the a-b-a-b 4-cycle joins two vertices that are
+        both in the 3-edge path's match (du = dv = 1): no side rule
+        applies, and the path grows into the cycle."""
+        labels = {0: "a", 1: "b", 2: "a", 3: "b"}
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        stream = [StreamEdge(i, u, v, labels[u], labels[v]) for i, (u, v) in enumerate(pairs)]
+        matcher = WindowMatcher(self.MOTIFS)
+        for e in stream:
+            matcher.offer(e)
+        assert frozenset(range(4)) in {m.eids for m in matcher._all}
+        run_both(self.MOTIFS, stream, 2, 10)
+
+    @pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz", "lubm"])
+    def test_dataset_streams(self, dataset):
+        g = generators.generate(dataset, scale=2_000)
+        motifs = TPSTry.from_workload(workload(dataset)).motifs(0.4)
+        stream = list(stream_of(g, streams.ordered_stream(g, "bfs", seed=0)))
+        assert run_both(motifs, stream, 4, 100) > 0

@@ -261,3 +261,111 @@ class TestDatasetWorkloadTries:
         assert set(t1.nodes) == set(t2.nodes)
         for k in t1.nodes:
             assert t1.support(k) == pytest.approx(t2.support(k))
+
+
+def workload_cases():
+    """(motif index, labels) pairs: the Fig. 1 trie at T in {0, 0.4} and
+    the four dataset workloads at T = 0.4, each with a data label ``z``
+    absent from its workload."""
+    fig1 = TPSTry.from_workload(fig1_workload(), p=251, seed=7)
+    cases = [
+        pytest.param(fig1.motifs(t), ["a", "b", "c", "z"], id=f"fig1-T{t}")
+        for t in (0.0, 0.4)
+    ]
+    for name in ("dblp", "provgen", "musicbrainz", "lubm"):
+        wl = workload(name)
+        labels = sorted(set().union(*(q.label_set() for q, _ in wl)))
+        motifs = TPSTry.from_workload(wl).motifs(0.4)
+        cases.append(pytest.param(motifs, labels + ["z"], id=name))
+    return cases
+
+
+def degree_keys(motifs):
+    """Every in-range (node, du, dv) key: du, dv in [0, n_edges(node)]."""
+    for key in motifs.keep:
+        n = motifs.trie.nodes[key].n_edges
+        for du in range(n + 1):
+            for dv in range(n + 1):
+                yield key, du, dv
+
+
+class TestStepTable:
+    """MotifIndex.table(la, lb) must equal motif_child(fac) exactly: the
+    matcher looks children up in it instead of calling motif_child."""
+
+    @pytest.mark.parametrize("motifs, labels", workload_cases())
+    def test_entries_equal_motif_child(self, motifs, labels):
+        h = motifs.trie.h
+        hits = 0
+        for la in labels:
+            for lb in labels:
+                steps = motifs.table(la, lb).steps
+                in_range = set()
+                for key, du, dv in degree_keys(motifs):
+                    in_range.add((key, du, dv))
+                    want = motifs.motif_child(key, fac(h, la, lb, du, dv))
+                    if want is None:
+                        assert (key, du, dv) not in steps
+                    else:
+                        assert steps[(key, du, dv)] == want
+                        hits += 1
+                assert set(steps) <= in_range
+        assert hits > 0
+
+    @pytest.mark.parametrize("motifs, labels", workload_cases())
+    def test_mirror(self, motifs, labels):
+        for la in labels:
+            for lb in labels:
+                steps, mirror = motifs.table(la, lb).steps, motifs.table(lb, la).steps
+                assert len(steps) == len(mirror)
+                for (n, du, dv), child in steps.items():
+                    assert mirror[(n, dv, du)] == child
+
+    @pytest.mark.parametrize("motifs, labels", workload_cases())
+    def test_side_sets(self, motifs, labels):
+        """A node outside from_u has no hit at any (du >= 1, 0), and one
+        outside from_v none at any (0, dv >= 1)."""
+        for la in labels:
+            for lb in labels:
+                table = motifs.table(la, lb)
+                for key, du, dv in degree_keys(motifs):
+                    if (key, du, dv) not in table.steps:
+                        continue
+                    if du >= 1 and dv == 0:
+                        assert key in table.from_u
+                    if du == 0 and dv >= 1:
+                        assert key in table.from_v
+                assert table.from_u <= table.nodes
+                assert table.from_v <= table.nodes
+                assert table.from_v == motifs.table(lb, la).from_u
+
+    @pytest.mark.parametrize("motifs, labels", workload_cases())
+    def test_extendable_is_node_projection(self, motifs, labels):
+        for la in labels:
+            for lb in labels:
+                table = motifs.table(la, lb)
+                assert motifs.extendable(la, lb) == table.nodes
+                assert table.nodes == {n for n, _, _ in table.steps}
+
+    def test_side_sets_on_fig1(self, fig1_trie):
+        """a-b grows to a-b-a from its b end by an a-b edge (u = a new), and
+        to a-b-c from its b end by a b-c edge (v = c new)."""
+        motifs = fig1_trie.motifs(0.0)
+        ab = next(
+            n.key for n in fig1_trie.nodes.values() if n.rep_edges == (("a", "b"),)
+        )
+        assert ab in motifs.table("a", "b").from_v
+        assert ab in motifs.table("b", "a").from_u
+        assert ab in motifs.table("b", "c").from_u
+        assert ab not in motifs.table("b", "c").from_v
+        assert ab in motifs.table("c", "b").from_v
+
+    def test_table_built_once(self, fig1_trie):
+        motifs = fig1_trie.motifs(0.4)
+        assert motifs.table("a", "b") is motifs.table("a", "b")
+        assert motifs.table("b", "a") is motifs.table("b", "a")
+
+    def test_support_equals_trie_support(self, fig1_trie):
+        motifs = fig1_trie.motifs(0.0)
+        for key in fig1_trie.nodes:
+            assert motifs.support(key) == fig1_trie.support(key)
