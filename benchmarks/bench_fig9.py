@@ -11,6 +11,7 @@ from repro.eval.harness import run_system
 from repro.eval.ipt import workload_ipt
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 SCALE = 2_000
@@ -20,10 +21,10 @@ SCALE = 2_000
 def test_fig9_cell(benchmark, spark, window):
     g = generate("dblp", scale=SCALE)
     wl = workload("dblp")
-    order = ordered_stream(g, "bfs", seed=0)
+    stream = list(stream_of(g, ordered_stream(g, "bfs", seed=0)))
 
     def cell():
-        r = run_system("loom", g, order, 8, wl, window=window)
+        r = run_system("loom", g, stream, 8, wl, window=window)
         return workload_ipt(spark, g, r.assignment, wl).total
 
     total = benchmark.pedantic(cell, rounds=1, iterations=1)

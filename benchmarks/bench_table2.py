@@ -12,6 +12,7 @@ import pytest
 from repro.eval.harness import run_system
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 SCALE = 3_000
@@ -24,16 +25,17 @@ _cache = {}
 def dataset(name):
     if name not in _cache:
         g = generate(name, scale=SCALE)
-        _cache[name] = (g, ordered_stream(g, "bfs", seed=0), workload(name))
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=0)))
+        _cache[name] = (g, stream, workload(name))
     return _cache[name]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("name", DATASETS)
 def test_partition_stream(benchmark, name, system):
-    g, order, wl = dataset(name)
+    g, stream, wl = dataset(name)
     run = benchmark.pedantic(
-        run_system, args=(system, g, order, 8, wl), kwargs={"window": 10_000},
+        run_system, args=(system, g, stream, 8, wl), kwargs={"window": 10_000},
         rounds=3, iterations=1,
     )
     benchmark.extra_info["n_edges"] = run.n_edges

@@ -16,6 +16,7 @@ from repro.eval.harness import run_system
 from repro.eval.ipt import workload_ipt
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 WINDOWS = (100, 1_000, 5_000, 10_000, 20_000)
@@ -29,10 +30,10 @@ def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8, seed: int = 0,
     for name in datasets:
         g = generate(name, scale=scale)
         wl = workload(name)
-        order = ordered_stream(g, "bfs", seed=seed)
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=seed)))
         cells = []
         for t in windows:
-            r = run_system("loom", g, order, k, wl, window=t)
+            r = run_system("loom", g, stream, k, wl, window=t)
             cells.append(f"{workload_ipt(spark, g, r.assignment, wl).total:>8.0f}")
         lines.append(f"{name:<12} " + " ".join(cells))
     return "\n".join(lines)

@@ -20,6 +20,7 @@ from pyspark.sql import SparkSession
 from repro.eval.harness import run_system
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 DATASET_ORDER = ["dblp", "provgen", "musicbrainz", "lubm", "lubm4000"]
@@ -45,12 +46,12 @@ def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
     for name in DATASET_ORDER:
         g = generate(name, scale=scale)
         wl = workload(name)
-        order = ordered_stream(g, "bfs", seed=seed)
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=seed)))
         cells = []
         for s in SYSTEM_ORDER:
-            run_system(s, g, order, k, wl, window=window)  # warm-up
+            run_system(s, g, stream, k, wl, window=window)  # warm-up
             ms = statistics.median(
-                run_system(s, g, order, k, wl, window=window).ms_per_10k
+                run_system(s, g, stream, k, wl, window=window).ms_per_10k
                 for _ in range(TIMED_PASSES)
             )
             cells.append(f"{ms:>7.0f} ({PAPER_TABLE2[name][s]:>4d}ms)")

@@ -134,10 +134,8 @@ class LoomPartitioner(StreamingPartitioner):
         # Slide the window: it spans the t most recently added stream
         # edges (Sec. 1.3), so buffered motif edges older than t stream
         # positions are evicted and permanently assigned.
-        while True:
-            oldest = self.matcher.oldest()
-            if oldest is None or oldest.eid > e.eid - self.t:
-                break
+        horizon = e.eid - self.t
+        while (oldest := self.matcher.oldest()) is not None and oldest.eid <= horizon:
             self._evict(oldest)
 
     def finalize(self) -> None:
@@ -163,46 +161,52 @@ class LoomPartitioner(StreamingPartitioner):
     def _equal_opportunism(self, m_e: list[Match]) -> None:
         """Assign the winning partition its rationed prefix of ``M_e``."""
         pid, n = self._bid(m_e)
-        eids = {eid for m in m_e[:n] for eid in m.eids}
-        self._assign_edges(eids, pid)
+        if n == 1 or len(m_e) == 1:
+            self._assign_edges(m_e[0].eids, pid)
+        else:
+            self._assign_edges({eid for m in m_e[:n] for eid in m.eids}, pid)
 
     def _bid(self, m_e: list[Match]) -> tuple[int, int]:
         """The winning partition and the length of its rationed prefix."""
         st = self.state
-        assignment = st.assignment
-        supports = [self.motifs.support(m.node) for m in m_e]
-        # N(S_i, E_k) > 0 as (match index, count) pairs, in match order, for
-        # every partition holding a vertex of the cluster.
-        held: dict[int, list[tuple[int, int]]] = {}
+        assignment, sizes, cap = st.assignment, st.sizes, st.capacity
+        support = self.motifs.support
+        n_m, alpha = len(m_e), self.alpha
+        s_min = min(sizes)
+        # One walk over the cluster, in match order. A partition's ration,
+        # prefix length and residual weight are fixed on its first
+        # appearance; its bid then adds N(S_i, E_k) · resid · supp(m_k)
+        # for each match k of its prefix that holds its vertices.
+        bids: dict[int, float] = {}
+        lengths: dict[int, int] = {}  # 0: the ration bars the partition
+        resids: dict[int, float] = {}
         for j, m in enumerate(m_e):
             counts: dict[int, int] = {}
             for v in m.vertices:
                 pid = assignment.get(v)
                 if pid is not None:
                     counts[pid] = counts.get(pid, 0) + 1
-            for pid, c in counts.items():
-                held.setdefault(pid, []).append((j, c))
-        sizes, cap, n_m, alpha = st.sizes, st.capacity, len(m_e), self.alpha
-        s_min = min(sizes)
-        bids: dict[int, float] = {}
-        lengths: dict[int, int] = {}
-        for pid, pairs in held.items():
-            l_i = ration(sizes, pid, cap, alpha=alpha, s_min=s_min)
-            if l_i <= 0.0:
+            if not counts:
                 continue
-            n_i = lengths[pid] = max(1, math.ceil(l_i * n_m))
-            # Residual weight against the hard cap b·n/k: it stays
-            # positive until the ration (l = 0 at the cap) excludes the
-            # partition, so a cluster's anchor partition never loses its
-            # bid merely for being at the balanced size — the LDG
-            # fallback fills to the soft cap n/k, below this.
-            resid = 1.0 - sizes[pid] / cap
-            total = 0.0
-            for j, c in pairs:
-                if j >= n_i:
-                    break
-                total += c * resid * supports[j]
-            bids[pid] = total
+            supp = support(m.node)
+            for pid, c in counts.items():
+                n_i = lengths.get(pid)
+                if n_i is None:
+                    l_i = ration(sizes, pid, cap, alpha=alpha, s_min=s_min)
+                    if l_i <= 0.0:
+                        lengths[pid] = 0
+                        continue
+                    n_i = lengths[pid] = max(1, math.ceil(l_i * n_m))
+                    # Residual weight against the hard cap b·n/k: it stays
+                    # positive until the ration (l = 0 at the cap)
+                    # excludes the partition, so a cluster's anchor
+                    # partition never loses its bid merely for being at
+                    # the balanced size — the LDG fallback fills to the
+                    # soft cap n/k, below this.
+                    resids[pid] = 1.0 - sizes[pid] / cap
+                    bids[pid] = 0.0
+                if j < n_i:
+                    bids[pid] += c * resids[pid] * supp
         # Every other partition bids exactly 0.0 (its terms are all ±0.0),
         # so a single largest positive bid wins outright.
         top = max(bids.values(), default=0.0)
@@ -254,16 +258,17 @@ class LoomPartitioner(StreamingPartitioner):
             self._type_supp_cache[key] = supp
         return supp
 
-    def _assign_edges(self, eids: set[int], pid: int | None) -> None:
+    def _assign_edges(self, eids: set[int] | frozenset[int], pid: int | None) -> None:
         """Assign every unassigned vertex of ``eids`` to ``pid``, then retire
         the edges from the window. A vertex goes to the LDG fallback instead
         when ``pid`` is None or already at capacity, so a won cluster never
         pushes its partition over the cap."""
         st = self.state
+        assignment = st.assignment
         window = self.matcher.window
         verts = sorted({x for i in eids for x in (window[i].u, window[i].v)})
         for v in verts:
-            if not st.is_assigned(v):
+            if v not in assignment:
                 if pid is not None and st.sizes[pid] < st.capacity:
                     st.assign(v, pid)
                 else:

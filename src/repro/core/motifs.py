@@ -11,7 +11,8 @@ Per arriving edge ``e = (v1, v2)``:
 
 1. If ``e``'s single-edge factors match no single-edge motif, it is
    rejected (the caller assigns it immediately via LDG; it never enters the
-   window and displaces nothing).
+   window and displaces nothing). The gate depends only on ``e``'s ordered
+   label pair, so each pair's motif node (or ``None``) is looked up once.
 2. Otherwise ``e`` joins the window and ``⟨{e}, m⟩`` joins matchList.
 3. Every existing match touching ``v1`` or ``v2`` is extended with ``e`` if
    the match's trie node has a motif child whose factor difference equals
@@ -26,7 +27,10 @@ Per arriving edge ``e = (v1, v2)``:
    at least one contains ``e`` is recursively joined edge-by-edge from the
    smaller into the larger, recording a new match only when the smaller
    match is exhausted (Alg. 2 lines 11-18). Pairs are tried only when some
-   match other than ``⟨{e}, m⟩`` contains ``e``.
+   match other than ``⟨{e}, m⟩`` contains ``e``. Such a match has at least
+   two edges and a pairable one fewer than the largest motif, so with no
+   motif of three or more edges no pair is ever tried and the step is
+   skipped.
 
 New matches never replace old ones; matches are dropped only when one of
 their edges is permanently assigned to a partition (``remove_edges``).
@@ -93,11 +97,15 @@ class WindowMatcher:
         # vertex -> matches containing it; a vertex is a key exactly while
         # it belongs to some match.
         self.match_list: dict[int, set[Match]] = {}
-        self._all: set[Match] = set()
-        self._by_eid: dict[int, set[Match]] = {}  # edge -> matches containing it
+        # edge -> matches containing it; with match_list, the only record
+        # of which matches exist.
+        self._by_eid: dict[int, set[Match]] = {}
         self._max_edges = motifs.max_motif_edges()
-        # (label_u, label_v) -> single-edge fac key (the window gate's).
-        self._fac_memo: dict[tuple[str, str], FactorKey] = {}
+        # Pairs need a match of 2+ edges below the largest motif size.
+        self._joins = self._max_edges >= 3
+        # (label_u, label_v) -> the single-edge motif node of that edge
+        # type, or None (the window gate's decision).
+        self._gate: dict[tuple[str, str], FactorKey | None] = {}
 
     # ---------------------------------------------------------------- utils
     def __len__(self) -> int:
@@ -128,32 +136,44 @@ class WindowMatcher:
                 deg[e.v] = deg.get(e.v, 0) + 1
         return deg
 
-    def _record(self, m: Match) -> bool:
-        """Insert a match into matchList for all its vertices; dedup."""
-        if m in self._all:
-            return False
-        self._all.add(m)
+    def _record(self, m: Match) -> None:
+        """Insert a match into matchList for all its vertices and into
+        ``_by_eid`` for all its edges. A match already recorded (joins can
+        form one twice) is in all of those sets, so adding it again
+        changes nothing and needs no separate check."""
+        match_list, by_eid = self.match_list, self._by_eid
         for v in m.vertices:
-            self.match_list.setdefault(v, set()).add(m)
+            s = match_list.get(v)
+            if s is None:
+                match_list[v] = {m}
+            else:
+                s.add(m)
         for eid in m.eids:
-            self._by_eid.setdefault(eid, set()).add(m)
-        return True
+            s = by_eid.get(eid)
+            if s is None:
+                by_eid[eid] = {m}
+            else:
+                s.add(m)
 
     # ------------------------------------------------------------ main path
     def offer(self, e: StreamEdge) -> bool:
         """Process a new stream edge. Returns True if it entered the window
         (matched a single-edge motif), False if the caller must assign it
         immediately."""
-        f = self._fac_memo.get((e.lu, e.lv))
-        if f is None:
-            f = self._fac_memo[(e.lu, e.lv)] = fac(self.h, e.lu, e.lv)
-        node = self.motifs.single_edge_motif(f)
+        try:
+            node = self._gate[(e.lu, e.lv)]
+        except KeyError:
+            node = self._gate[(e.lu, e.lv)] = self.motifs.single_edge_motif(
+                fac(self.h, e.lu, e.lv)
+            )
         if node is None:
             return False
         self.window[e.eid] = e
-        self._record(self._match(frozenset([e.eid]), node))
+        # The vertex set in _match's order: u, then v.
+        self._record(Match(frozenset((e.eid,)), node, frozenset((e.u, e.v))))
         self._extend_with(e)
-        self._join_pairs(e)
+        if self._joins:
+            self._join_pairs(e)
         return True
 
     def _extend_with(self, e: StreamEdge) -> None:
@@ -260,31 +280,34 @@ class WindowMatcher:
         """All window matches containing edge ``eid``, sorted by descending
         motif support then ascending size (Sec. 4's support ordering; the
         single-edge match always sorts first by support monotonicity)."""
-        out = self._by_eid.get(eid, set())
-        return sorted(
-            out,
-            key=lambda m: (-self.motifs.support(m.node), len(m.eids), min(m.eids)),
-        )
+        out = self._by_eid.get(eid, ())
+        if len(out) <= 1:
+            return list(out)
+        support = self.motifs.support
+        return sorted(out, key=lambda m: (-support(m.node), len(m.eids), min(m.eids)))
 
-    def remove_edges(self, eids: set[int]) -> None:
+    def remove_edges(self, eids: set[int] | frozenset[int]) -> None:
         """Permanently assign edges: drop them from the window and drop
-        every match touching any of them (their edges left ``P_temp``)."""
-        doomed = set()
+        every match touching any of them (their edges left ``P_temp``).
+
+        Each edge's matches are dropped from a snapshot of its ``_by_eid``
+        set; a match already dropped via an earlier edge is no longer in
+        it. Discards leave the same sets, and ``del`` the same dicts, in
+        any order, so this equals dropping the union of those sets."""
+        match_list, by_eid = self.match_list, self._by_eid
         for eid in eids:
-            doomed |= self._by_eid.get(eid, set())
-        for m in doomed:
-            self._all.discard(m)
-            for v in m.vertices:
-                s = self.match_list.get(v)
-                if s is not None:
-                    s.discard(m)
-                    if not s:
-                        del self.match_list[v]
-            for eid in m.eids:
-                s = self._by_eid.get(eid)
-                if s is not None:
-                    s.discard(m)
-                    if not s:
-                        del self._by_eid[eid]
+            for m in tuple(by_eid.get(eid, ())):
+                for v in m.vertices:
+                    s = match_list.get(v)
+                    if s is not None:
+                        s.discard(m)
+                        if not s:
+                            del match_list[v]
+                for i in m.eids:
+                    s = by_eid.get(i)
+                    if s is not None:
+                        s.discard(m)
+                        if not s:
+                            del by_eid[i]
         for eid in eids:
             self.window.pop(eid, None)

@@ -24,7 +24,7 @@ from repro.eval.ipt import WorkloadIpt, workload_ipt
 from repro.graphs.generators import generate
 from repro.graphs.model import LabeledGraph
 from repro.graphs.streams import ordered_stream
-from repro.partitioners.base import StreamingPartitioner, stream_of
+from repro.partitioners.base import StreamEdge, StreamingPartitioner, stream_of
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.hash_part import HashPartitioner
 from repro.partitioners.ldg import LDGPartitioner
@@ -84,20 +84,20 @@ class SystemRun:
 def run_system(
     name: str,
     graph: LabeledGraph,
-    order: list[tuple[int, int]],
+    stream: list[StreamEdge],
     k: int,
     wl: Workload,
     **loom_kwargs,
 ) -> SystemRun:
-    """Stream ``order`` through partitioner ``name`` and time it. The stream
-    is materialised before the clock starts, so the time (and Table 2's
-    ms/10k) is the partitioner's alone."""
+    """Pass the materialised ``stream`` of ``graph`` through partitioner
+    ``name`` and time it. The stream is built by the caller (once per graph
+    and order, :func:`repro.partitioners.base.stream_of`), so the time (and
+    Table 2's ms/10k) is the partitioner's alone."""
     p = build_partitioner(name, k, graph, wl, **loom_kwargs)
-    stream = list(stream_of(graph, order))
     t0 = time.perf_counter()
     assignment = p.partition(stream)
     elapsed = time.perf_counter() - t0
-    return SystemRun(name, assignment, elapsed, len(order), p.state.imbalance())
+    return SystemRun(name, assignment, elapsed, len(stream), p.state.imbalance())
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def run_experiment(
     if graph is None:
         graph = generate(dataset, scale=scale)
     wl = load_workload(dataset)
-    edge_order = ordered_stream(graph, order, seed=seed)
+    stream = list(stream_of(graph, ordered_stream(graph, order, seed=seed)))
     runs = {
-        name: run_system(name, graph, edge_order, k, wl, **loom_kwargs)
+        name: run_system(name, graph, stream, k, wl, **loom_kwargs)
         for name in dict.fromkeys(("hash",) + tuple(systems))
     }
     quality: dict[str, WorkloadIpt] = {

@@ -61,9 +61,19 @@ class PartitionState:
         self.adj: dict[int, set[int]] = {}
 
     def observe_edge(self, u: int, v: int) -> None:
-        """Reveal an edge to the adjacency index (before any assignment)."""
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
+        """Reveal an edge to the adjacency index (before any assignment).
+        A vertex's set is made on its first edge, not offered on each."""
+        adj = self.adj
+        s = adj.get(u)
+        if s is None:
+            adj[u] = {v}
+        else:
+            s.add(v)
+        s = adj.get(v)
+        if s is None:
+            adj[v] = {u}
+        else:
+            s.add(u)
 
     def assign(self, v: int, pid: int) -> None:
         if v in self.assignment:

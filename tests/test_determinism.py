@@ -30,6 +30,7 @@ import pytest
 
 from repro.eval import harness
 from repro.graphs import generators, streams
+from repro.partitioners.base import stream_of
 from repro.workloads import queries
 
 SCALE = 2_000
@@ -152,10 +153,10 @@ def case_digests(
 ) -> dict[str, str]:
     """Digest of every system's assignment for one (dataset, order)."""
     graph = generators.generate(dataset, scale=SCALE)
-    edges = streams.ordered_stream(graph, order, seed=0)
+    stream = list(stream_of(graph, streams.ordered_stream(graph, order, seed=0)))
     wl = queries.workload(dataset)
     return {
-        s: digest(harness.run_system(s, graph, edges, k, wl).assignment)
+        s: digest(harness.run_system(s, graph, stream, k, wl).assignment)
         for s in systems
     }
 
@@ -175,10 +176,13 @@ def test_assignments_pinned_k32(dataset, order):
 # Loom at the benchmark's scale 20,000 and window t = 10,000, on the cases
 # where recording matches in another order (see the module docstring) was
 # seen to change the assignment; the scale-2,000 cases do not show it.
+# ProvGen BFS k = 8 is also the benchmark's Loom throughput stream.
 TIE_SENSITIVE = {
     ("dblp", "bfs", 8): "53889c6f7c5315fd",
     ("dblp", "dfs", 8): "4fecc1d75e34c83e",
+    ("dblp", "dfs", 32): "261da13352d55a37",
     ("lubm", "bfs", 32): "dd939cc7bf269538",
+    ("provgen", "bfs", 8): "961dc5e3ea4eac60",
 }
 
 
@@ -186,9 +190,9 @@ TIE_SENSITIVE = {
 def test_loom_tie_order_pinned(case):
     dataset, order, k = case
     graph = generators.generate(dataset, scale=20_000)
-    edges = streams.ordered_stream(graph, order, seed=0)
+    stream = list(stream_of(graph, streams.ordered_stream(graph, order, seed=0)))
     wl = queries.workload(dataset)
-    run = harness.run_system("loom", graph, edges, k, wl, window=10_000)
+    run = harness.run_system("loom", graph, stream, k, wl, window=10_000)
     assert digest(run.assignment) == TIE_SENSITIVE[case]
 
 

@@ -7,6 +7,7 @@ it, balance respects the configured slack, and the harness plumbing
 """
 import pytest
 
+from repro.eval import harness
 from repro.eval.harness import (
     SYSTEMS,
     ExperimentRow,
@@ -18,6 +19,7 @@ from repro.eval.harness import (
 )
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import workload
 
 SCALE = 1200  # small enough for CI, large enough for stable ordering
@@ -49,8 +51,8 @@ class TestBuildPartitioner:
 class TestRunSystem:
     def test_times_and_assigns(self):
         g = generate("provgen", scale=400)
-        order = ordered_stream(g, "bfs", seed=0)
-        run = run_system("ldg", g, order, 4, workload("provgen"))
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=0)))
+        run = run_system("ldg", g, stream, 4, workload("provgen"))
         assert run.elapsed_s > 0
         assert run.n_edges == g.n_edges
         assert run.ms_per_10k > 0
@@ -59,9 +61,38 @@ class TestRunSystem:
 
     def test_loom_window_override(self):
         g = generate("provgen", scale=300)
-        order = ordered_stream(g, "bfs", seed=0)
-        run = run_system("loom", g, order, 4, workload("provgen"), window=25)
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=0)))
+        run = run_system("loom", g, stream, 4, workload("provgen"), window=25)
         assert set(run.assignment)  # completed
+
+
+class TestOneStreamPerCell:
+    def test_cell_materialises_its_stream_once(self, spark, monkeypatch):
+        """A cell builds its stream once and hands the same list to every
+        system; each system is built, run and scored once, in order."""
+        calls = []
+
+        def spy(name, key):
+            fn = getattr(harness, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, key(args)))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapped)
+
+        spy("stream_of", lambda args: None)
+        spy("build_partitioner", lambda args: args[0])
+        spy("run_system", lambda args: (args[0], id(args[2])))
+        spy("workload_ipt", lambda args: None)
+        run_experiment(spark, "provgen", "bfs", 2, scale=300)
+        names = [name for name, _ in calls]
+        assert names.count("stream_of") == 1
+        assert names.count("workload_ipt") == len(SYSTEMS)
+        assert [k for name, k in calls if name == "build_partitioner"] == list(SYSTEMS)
+        runs = [k for name, k in calls if name == "run_system"]
+        assert [system for system, _ in runs] == list(SYSTEMS)
+        assert len({stream for _, stream in runs}) == 1
 
 
 class TestExperimentShape:

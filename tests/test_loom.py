@@ -214,8 +214,8 @@ class TestCapacity:
         winner part-way (placing all of it would end at 268 against a
         capacity of 267)."""
         g = generators.generate("dblp", scale=2_000)
-        order = streams.ordered_stream(g, "bfs", seed=1)
-        run = run_system("loom", g, order, 8, workload("dblp"), window=10_000)
+        stream = list(stream_of(g, streams.ordered_stream(g, "bfs", seed=1)))
+        run = run_system("loom", g, stream, 8, workload("dblp"), window=10_000)
         capacity = math.ceil(1.1 * g.n_vertices / 8)
         sizes = Counter(run.assignment.values())
         assert max(sizes.values()) <= capacity

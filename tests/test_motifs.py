@@ -48,6 +48,11 @@ def edge_sets(matcher, v):
     return {m.eids for m in matcher.match_list.get(v, set())}
 
 
+def live_matches(matcher):
+    """Every match the matcher holds: the union of its ``_by_eid`` sets."""
+    return set().union(*matcher._by_eid.values())
+
+
 class TestFig5Walkthrough:
     def test_e1_single_edge_match(self, matcher):
         assert matcher.offer(E1) is True
@@ -167,19 +172,19 @@ class TestInvariants:
         for ms in matcher.match_list.values():
             for m in ms:
                 seen.add(m)
-        assert len(seen) == len(matcher._all)
+        assert len(seen) == len(live_matches(matcher))
 
     def test_match_size_bounded_by_largest_motif(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         cap = matcher.motifs.max_motif_edges()
-        for m in matcher._all:
+        for m in live_matches(matcher):
             assert len(m.eids) <= cap
 
     def test_matches_are_connected(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
-        for m in matcher._all:
+        for m in live_matches(matcher):
             edges = [(matcher.window[i].u, matcher.window[i].v) for i in m.eids]
             verts = {x for p in edges for x in p}
             # union-find connectivity
@@ -198,18 +203,19 @@ class TestInvariants:
     def test_match_nodes_are_motifs(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
-        for m in matcher._all:
+        for m in live_matches(matcher):
             assert matcher.motifs.is_motif(m.node)
 
     def test_by_eid_index_consistent(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         matcher.remove_edges({E3.eid})
+        placed = {m for ms in matcher.match_list.values() for m in ms}
         for eid, ms in matcher._by_eid.items():
             for m in ms:
                 assert eid in m.eids
-                assert m in matcher._all
-        for m in matcher._all:
+                assert m in placed
+        for m in live_matches(matcher):
             for eid in m.eids:
                 assert m in matcher._by_eid[eid]
 
@@ -236,15 +242,16 @@ class TestStreamScenarios:
         m = WindowMatcher(motifs)
         for i, leaf in enumerate((1, 2, 3), start=1):
             m.offer(edge(i, 0, leaf, labels))
-        sizes = {len(mm.eids) for mm in m._all}
+        sizes = {len(mm.eids) for mm in live_matches(m)}
         assert sizes == {1, 2}
 
 
 def assert_sound(matcher):
-    """The matcher's soundness oracle: every live match's trie node is the
-    signature of its edge set recomputed from scratch, it sits in exactly
-    the matchList sets of its own vertices, and ``_by_eid`` indexes it
-    under exactly its edges."""
+    """The matcher's soundness oracle: matchList and ``_by_eid`` index the
+    same matches, every such match's trie node is the signature of its
+    edge set recomputed from scratch, it sits in exactly the matchList sets
+    of its own vertices, and ``_by_eid`` indexes it under exactly its
+    edges."""
     placed: dict[Match, set[int]] = {}
     for v, ms in matcher.match_list.items():
         assert ms, f"vertex {v} kept an empty matchList entry"
@@ -255,12 +262,11 @@ def assert_sound(matcher):
         assert ms, f"edge {eid} kept an empty _by_eid entry"
         for m in ms:
             indexed.setdefault(m, set()).add(eid)
-    assert placed.keys() == matcher._all
-    assert indexed.keys() == matcher._all
+    assert placed.keys() == indexed.keys()
     labels = {}
     for e in matcher.window.values():
         labels[e.u], labels[e.v] = e.lu, e.lv
-    for m in matcher._all:
+    for m in indexed:
         edges = [(matcher.window[i].u, matcher.window[i].v) for i in m.eids]
         verts = {x for e in edges for x in e}
         assert m.vertices == verts
@@ -291,10 +297,10 @@ class TestSoundnessOracle:
         for e in stream_of(g, streams.ordered_stream(g, order, seed=0)):
             p.add_edge(e)
             assert_sound(p.matcher)
-            n_matches += sum(len(m) > 1 for m in p.matcher._all)
+            n_matches += sum(len(m) > 1 for m in live_matches(p.matcher))
         p.finalize()
         assert_sound(p.matcher)
-        assert not p.matcher._all
+        assert not p.matcher._by_eid and not p.matcher.match_list
         assert n_matches > 0  # multi-edge matches were exercised
 
 
@@ -316,7 +322,7 @@ class TestMatchContract:
     def test_degrees_cached_on_the_match(self, matcher):
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
-        for m in matcher._all:
+        for m in live_matches(matcher):
             deg = matcher._degrees(m)
             assert matcher._degrees(m) is deg
             want = {}
@@ -375,8 +381,8 @@ class ReferenceMatcher(WindowMatcher):
 
 
 def assert_same_order(got, want):
-    """Every matchList, ``_by_eid`` entry and the match set iterate in the
-    same order (the order equal opportunism's tie-break reads)."""
+    """Every matchList and ``_by_eid`` entry iterates in the same order (the
+    order equal opportunism's tie-break reads)."""
     assert list(got.window) == list(want.window)
     assert list(got.match_list) == list(want.match_list)
     for v, ms in want.match_list.items():
@@ -384,22 +390,38 @@ def assert_same_order(got, want):
     assert list(got._by_eid) == list(want._by_eid)
     for eid, ms in want._by_eid.items():
         assert list(got._by_eid[eid]) == list(ms), f"_by_eid of edge {eid}"
-    assert list(got._all) == list(want._all)
 
 
-def run_both(motifs, stream, k, window):
-    """Loom over ``stream`` with this matcher and with the reference one;
-    the order check runs after every edge and after the final drain."""
+class AlwaysJoinMatcher(WindowMatcher):
+    """``offer`` as it was before the gate memo and the join skip: the gate
+    looks the single-edge motif up on every edge, ``{e}``'s match is built
+    by ``_match``, and ``_join_pairs`` runs on every edge that enters the
+    window, whatever the largest motif's size."""
+
+    def offer(self, e):
+        node = self.motifs.single_edge_motif(fac(self.h, e.lu, e.lv))
+        if node is None:
+            return False
+        self.window[e.eid] = e
+        self._record(self._match(frozenset([e.eid]), node))
+        self._extend_with(e)
+        self._join_pairs(e)
+        return True
+
+
+def run_both(motifs, stream, k, window, reference=ReferenceMatcher):
+    """Loom over ``stream`` with this matcher and with the ``reference``
+    one; the order check runs after every edge and after the final drain."""
     n = 1 + max(max(e.u, e.v) for e in stream)
     got = LoomPartitioner(k, n, motifs=motifs, window=window)
     want = LoomPartitioner(k, n, motifs=motifs, window=window)
-    want.matcher = ReferenceMatcher(motifs)
+    want.matcher = reference(motifs)
     n_multi = 0
     for e in stream:
         got.add_edge(e)
         want.add_edge(e)
         assert_same_order(got.matcher, want.matcher)
-        n_multi += sum(len(m) > 1 for m in want.matcher._all)
+        n_multi += sum(len(m) > 1 for m in live_matches(want.matcher))
     got.finalize()
     want.finalize()
     assert_same_order(got.matcher, want.matcher)
@@ -459,7 +481,7 @@ class TestRecordOrderOracle:
         matcher = WindowMatcher(self.MOTIFS)
         for e in stream[:4]:
             matcher.offer(e)
-        assert frozenset({0, 2, 3}) in {m.eids for m in matcher._all}
+        assert frozenset({0, 2, 3}) in {m.eids for m in live_matches(matcher)}
         assert run_both(self.MOTIFS, stream, 2, 10) > 0
 
     def test_fig1_cycle_closes(self):
@@ -472,7 +494,7 @@ class TestRecordOrderOracle:
         matcher = WindowMatcher(self.MOTIFS)
         for e in stream:
             matcher.offer(e)
-        assert frozenset(range(4)) in {m.eids for m in matcher._all}
+        assert frozenset(range(4)) in {m.eids for m in live_matches(matcher)}
         run_both(self.MOTIFS, stream, 2, 10)
 
     @pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz", "lubm"])
@@ -481,3 +503,54 @@ class TestRecordOrderOracle:
         motifs = TPSTry.from_workload(workload(dataset)).motifs(0.4)
         stream = list(stream_of(g, streams.ordered_stream(g, "bfs", seed=0)))
         assert run_both(motifs, stream, 4, 100) > 0
+
+
+def count_joins(monkeypatch):
+    """Record the eid of every ``_join_pairs`` call."""
+    calls = []
+    join = WindowMatcher._join_pairs
+
+    def counting(self, e):
+        calls.append(e.eid)
+        return join(self, e)
+
+    monkeypatch.setattr(WindowMatcher, "_join_pairs", counting)
+    return calls
+
+
+class TestJoinSkipOracle:
+    """With no motif of three or more edges, no match is pairable, so
+    ``offer`` skips ``_join_pairs``; a matcher that always joins records
+    the same matches in the same order and Loom assigns the same."""
+
+    @pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz"])
+    def test_dataset_streams(self, dataset):
+        g = generators.generate(dataset, scale=2_000)
+        motifs = TPSTry.from_workload(workload(dataset)).motifs(0.4)
+        assert motifs.max_motif_edges() <= 2  # the skip applies
+        stream = list(stream_of(g, streams.ordered_stream(g, "bfs", seed=0)))
+        assert run_both(motifs, stream, 4, 100, reference=AlwaysJoinMatcher) > 0
+
+    def test_not_called_without_a_three_edge_motif(self, monkeypatch):
+        calls = count_joins(monkeypatch)
+        g = generators.generate("dblp", scale=300)
+        matcher = WindowMatcher(TPSTry.from_workload(workload("dblp")).motifs(0.4))
+        entered = [matcher.offer(e) for e in stream_of(g, streams.ordered_stream(g, "bfs", seed=0))]
+        assert any(entered) and calls == []
+
+    def test_fig1_joins_still_run(self, monkeypatch):
+        """The Fig. 1 trie at T = 0 has 3- and 4-edge motifs, so every edge
+        that enters the window is offered to ``_join_pairs``."""
+        calls = count_joins(monkeypatch)
+        motifs = fig1_motifs()
+        labels = {0: "b", 1: "a", 2: "a", 3: "c", 4: "b"}
+        pairs = [(0, 1), (0, 3), (2, 4), (0, 2), (1, 4)]
+        matcher = WindowMatcher(motifs)
+        entered = [
+            eid
+            for eid, (u, v) in enumerate(pairs)
+            if matcher.offer(StreamEdge(eid, u, v, labels[u], labels[v]))
+        ]
+        assert entered == [0, 1, 2, 3, 4]
+        assert calls == entered
+        assert frozenset({0, 2, 3}) in {m.eids for m in live_matches(matcher)}

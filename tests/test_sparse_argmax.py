@@ -234,11 +234,11 @@ def test_equal_opportunism_matches_full_comparison(case):
     assert p._bid(m_e) == equal_opportunism_reference(p, m_e)
 
 
-def cluster_case(k, sizes, assigned, m_vertices, supports):
+def cluster_case(k, sizes, assigned, m_vertices, supports, alpha=DEFAULT_ALPHA):
     """A fixed equal-opportunism case: ``assigned`` maps vertices to
     partitions, match j has vertices ``m_vertices[j]`` and support
     ``supports[j]``."""
-    p = loom(k, 100)
+    p = loom(k, 100, alpha=alpha)
     p.state.sizes = list(sizes)
     p.state.assignment.update(assigned)
     m_e = [
@@ -266,4 +266,17 @@ def cluster_case(k, sizes, assigned, m_vertices, supports):
 )
 def test_equal_opportunism_branches(sizes, assigned, m_vertices, supports):
     p, m_e = cluster_case(len(sizes), sizes, assigned, m_vertices, supports)
+    assert p._bid(m_e) == equal_opportunism_reference(p, m_e)
+
+
+def test_equal_opportunism_alpha_zero_bars_a_partition_below_the_cap():
+    """α = 0: partition 1 (size 10) lies strictly between the smallest
+    partition (5) and the hard cap (28), so its ration is 0 and it may not
+    bid although it holds a vertex of every match. No partition bids, and
+    the comparison over all k falls to the smallest partition."""
+    p, m_e = cluster_case(
+        4, [5, 10, 10, 10], {1: 1}, [(1, 2), (1, 3)], [1.0, 0.5], alpha=0.0
+    )
+    assert 5 < 10 < p.state.capacity
+    assert p._bid(m_e) == (0, 2)
     assert p._bid(m_e) == equal_opportunism_reference(p, m_e)
