@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 
 from repro.core.motifs import Match, WindowMatcher
-from repro.core.signature import fac
 from repro.core.tpstry import MotifIndex, TPSTry
 from repro.graphs.model import LabeledGraph
 from repro.partitioners.base import StreamEdge, StreamingPartitioner
@@ -108,7 +107,6 @@ class LoomPartitioner(StreamingPartitioner):
         self.b = b
         self.labels: dict[int, str] = {}
         self.matcher = WindowMatcher(motifs)
-        self._type_supp_cache: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------- stream
     def add_edge(self, e: StreamEdge) -> None:
@@ -222,10 +220,11 @@ class LoomPartitioner(StreamingPartitioner):
         # unassigned (bid 0 everywhere) would scatter round-robin instead
         # of following their neighbourhood. Neighbour pulls are weighted by
         # the workload relevance of the connecting edge type (its
-        # single-edge support in the TPSTry++, plus a small floor so
-        # unqueried edges still count): the paper's own rationale — edges
-        # "may not be traversed with equal likelihood given a workload Q"
-        # — applied to the tie-break.
+        # single-edge support in the TPSTry++, read off its step table,
+        # plus a small floor so unqueried edges still count): the paper's
+        # own rationale — edges "may not be traversed with equal likelihood
+        # given a workload Q" — applied to the tie-break.
+        labels, table = self.labels, self.motifs.table
         cluster = {v for m in m_e for v in m.vertices}
         nbr_counts = [0.0] * st.k
         for v in cluster:
@@ -233,7 +232,7 @@ class LoomPartitioner(StreamingPartitioner):
                 for w in st.adj.get(v, ()):
                     pid = assignment.get(w, -1)
                     if pid >= 0:
-                        nbr_counts[pid] += 0.1 + self._edge_type_support(v, w)
+                        nbr_counts[pid] += 0.1 + table(labels[v], labels[w]).support
         # The smallest partition always has a full ration, so one bids.
         best_pid, best_key, best_n = -1, None, 1
         for pid in range(st.k):
@@ -246,30 +245,18 @@ class LoomPartitioner(StreamingPartitioner):
                 best_pid, best_key, best_n = pid, key, max(1, math.ceil(l_i * n_m))
         return best_pid, best_n
 
-    def _edge_type_support(self, u: int, v: int) -> float:
-        """Single-edge motif support of the (label(u), label(v)) edge type
-        (0 for types matching no single-edge motif); cached per type."""
-        lu, lv = self.labels.get(u), self.labels.get(v)
-        key = (lu, lv) if lu <= lv else (lv, lu)
-        supp = self._type_supp_cache.get(key)
-        if supp is None:
-            node = self.motifs.single_edge_motif(fac(self.matcher.h, *key))
-            supp = self.motifs.support(node) if node is not None else 0.0
-            self._type_supp_cache[key] = supp
-        return supp
-
-    def _assign_edges(self, eids: set[int] | frozenset[int], pid: int | None) -> None:
+    def _assign_edges(self, eids: set[int] | frozenset[int], pid: int) -> None:
         """Assign every unassigned vertex of ``eids`` to ``pid``, then retire
         the edges from the window. A vertex goes to the LDG fallback instead
-        when ``pid`` is None or already at capacity, so a won cluster never
-        pushes its partition over the cap."""
+        when ``pid`` is already at capacity, so a won cluster never pushes
+        its partition over the cap."""
         st = self.state
         assignment = st.assignment
         window = self.matcher.window
         verts = sorted({x for i in eids for x in (window[i].u, window[i].v)})
         for v in verts:
             if v not in assignment:
-                if pid is not None and st.sizes[pid] < st.capacity:
+                if st.sizes[pid] < st.capacity:
                     st.assign(v, pid)
                 else:
                     st.assign(v, self.choose(v))

@@ -12,7 +12,8 @@ Per arriving edge ``e = (v1, v2)``:
 1. If ``e``'s single-edge factors match no single-edge motif, it is
    rejected (the caller assigns it immediately via LDG; it never enters the
    window and displaces nothing). The gate depends only on ``e``'s ordered
-   label pair, so each pair's motif node (or ``None``) is looked up once.
+   label pair, so it reads the ``edge`` node of that pair's step table
+   (:meth:`MotifIndex.table`), which steps 3 and 4 use too.
 2. Otherwise ``e`` joins the window and ``⟨{e}, m⟩`` joins matchList.
 3. Every existing match touching ``v1`` or ``v2`` is extended with ``e`` if
    the match's trie node has a motif child whose factor difference equals
@@ -47,8 +48,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.signature import fac
-from repro.core.tpstry import FactorKey, MotifIndex
+from repro.core.tpstry import FactorKey, MotifIndex, StepTable
 from repro.partitioners.base import StreamEdge
 
 
@@ -91,7 +91,6 @@ class WindowMatcher:
 
     def __init__(self, motifs: MotifIndex):
         self.motifs = motifs
-        self.h = motifs.trie.h
         # eid -> edge, in arrival order; the edges carry their endpoint labels.
         self.window: OrderedDict[int, StreamEdge] = OrderedDict()
         # vertex -> matches containing it; a vertex is a key exactly while
@@ -103,9 +102,6 @@ class WindowMatcher:
         self._max_edges = motifs.max_motif_edges()
         # Pairs need a match of 2+ edges below the largest motif size.
         self._joins = self._max_edges >= 3
-        # (label_u, label_v) -> the single-edge motif node of that edge
-        # type, or None (the window gate's decision).
-        self._gate: dict[tuple[str, str], FactorKey | None] = {}
 
     # ---------------------------------------------------------------- utils
     def __len__(self) -> int:
@@ -160,40 +156,34 @@ class WindowMatcher:
         """Process a new stream edge. Returns True if it entered the window
         (matched a single-edge motif), False if the caller must assign it
         immediately."""
-        try:
-            node = self._gate[(e.lu, e.lv)]
-        except KeyError:
-            node = self._gate[(e.lu, e.lv)] = self.motifs.single_edge_motif(
-                fac(self.h, e.lu, e.lv)
-            )
-        if node is None:
+        table = self.motifs.table(e.lu, e.lv)
+        if table.edge is None:
             return False
         self.window[e.eid] = e
         # The vertex set in _match's order: u, then v.
-        self._record(Match(frozenset((e.eid,)), node, frozenset((e.u, e.v))))
-        self._extend_with(e)
+        self._record(Match(frozenset((e.eid,)), table.edge, frozenset((e.u, e.v))))
+        self._extend_with(e, table)
         if self._joins:
             self._join_pairs(e)
         return True
 
-    def _extend_with(self, e: StreamEdge) -> None:
+    def _extend_with(self, e: StreamEdge, table: StepTable) -> None:
         """Alg. 2 lines 4-8: grow each match touching e's endpoints by e.
 
-        The step table of e's label pair gives each match's child from its
-        node and the degrees of ``u`` and ``v`` in it. Only matches whose
-        node has a step are looked up; a match at the largest motif size
-        never has one. ``⟨{e}, m⟩`` is in both endpoints' matchList sets, so
-        when it is all of ``v``'s, every other match holds ``u`` and not
-        ``v`` (degrees ``du >= 1, dv = 0``) and only ``from_u`` nodes can
-        grow; with none, the union is never built (and symmetrically for
-        ``u``). A scan that runs iterates the same union in the same order,
-        so matches are recorded in the same order as by a per-match
-        ``motif_child(fac(e, m))`` lookup (the tie order of
+        ``table``, the step table of e's label pair, gives each match's
+        child from its node and the degrees of ``u`` and ``v`` in it. Only
+        matches whose node has a step are looked up; a match at the largest
+        motif size never has one. ``⟨{e}, m⟩`` is in both endpoints'
+        matchList sets, so when it is all of ``v``'s, every other match
+        holds ``u`` and not ``v`` (degrees ``du >= 1, dv = 0``) and only
+        ``from_u`` nodes can grow; with none, the union is never built (and
+        symmetrically for ``u``). A scan that runs iterates the same union
+        in the same order, so matches are recorded in the same order as by
+        a per-match ``motif_child(fac(e, m))`` lookup (the tie order of
         :meth:`matches_containing` depends on it). The union is a snapshot:
         _record adds to both sets.
         """
         u, v, eid = e.u, e.v, e.eid
-        table = self.motifs.table(e.lu, e.lv)
         at_u, at_v = self.match_list[u], self.match_list[v]
         if len(at_v) == 1:
             can = table.from_u

@@ -16,6 +16,12 @@ level by level (equivalent to Alg. 1's recursion from every starting edge,
 but visiting each sub-graph once per query), linking parent node -> child
 node annotated with the incremental factor set ``fac(e, g)`` that Alg. 2
 uses for streaming matching.
+
+:class:`MotifIndex` is the motif-filtered view Loom streams against. Its
+:meth:`MotifIndex.table` holds one :class:`StepTable` per ordered label
+pair the stream shows: the pair's single-edge motif (the window gate),
+that motif's support (the tie-break weight) and its motif steps (Alg. 2's
+extensions), all from the same ``fac`` arithmetic.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ class TrieNode:
     # that produced this node (for inspection / tests only).
     rep_edges: tuple[tuple[str, str], ...]
     support_mass: float = 0.0
-    children: set[FactorKey] = field(default_factory=set)
     # fac(e, g) multiset-key -> child node keys reachable by adding an edge
     # with those factors. Alg. 2 line 7 resolves matches through this map.
     children_by_fac: dict[FactorKey, set[FactorKey]] = field(default_factory=dict)
@@ -141,9 +146,7 @@ class TPSTry:
             )
             node = TrieNode(child_key, len(rep_edges), tuple(sorted(rep)))
             self.nodes[child_key] = node
-        parent = self.nodes[parent_key]
-        parent.children.add(child_key)
-        parent.children_by_fac.setdefault(fac, set()).add(child_key)
+        self.nodes[parent_key].children_by_fac.setdefault(fac, set()).add(child_key)
         return child_key
 
     def support(self, key: FactorKey) -> float:
@@ -167,23 +170,37 @@ class TPSTry:
 
 
 class StepTable(NamedTuple):
-    """Every motif step an edge of one ordered label pair ``(la, lb)`` can
-    take: ``steps[(node, du, dv)]`` is the motif child that an ``la``-``lb``
-    edge whose endpoints have degrees ``du`` and ``dv`` in a match of
-    ``node`` reaches (hits only; every absent in-range key is a miss).
+    """What an edge of one ordered label pair ``(la, lb)`` does in Loom.
+
+    ``edge`` is the single-edge motif node such an edge matches, or None:
+    the window gate (Sec. 3) lets the edge in exactly when it is set.
+    ``support`` is that node's support (0.0 without one), the edge type's
+    weight in equal opportunism's tie-break. ``steps[(node, du, dv)]`` is
+    the motif child that an ``la``-``lb`` edge whose endpoints have degrees
+    ``du`` and ``dv`` in a match of ``node`` reaches (hits only; every
+    absent in-range key is a miss).
 
     ``from_u`` holds the nodes with a hit at ``du >= 1, dv = 0`` (an edge
     that grows a match from its ``la`` end only), ``from_v`` the mirror
     set, and ``nodes`` every node with a hit."""
 
+    edge: FactorKey | None
+    support: float
     steps: dict[tuple[FactorKey, int, int], FactorKey]
     nodes: frozenset[FactorKey]
     from_u: frozenset[FactorKey]
     from_v: frozenset[FactorKey]
 
     @classmethod
-    def of(cls, steps: dict[tuple[FactorKey, int, int], FactorKey]) -> "StepTable":
+    def of(
+        cls,
+        edge: FactorKey | None,
+        support: float,
+        steps: dict[tuple[FactorKey, int, int], FactorKey],
+    ) -> "StepTable":
         return cls(
+            edge,
+            support,
             steps,
             frozenset(n for n, _, _ in steps),
             frozenset(n for n, du, dv in steps if du >= 1 and dv == 0),
@@ -206,20 +223,13 @@ class MotifIndex:
     def __len__(self) -> int:
         return len(self.keep)
 
-    def is_motif(self, key: FactorKey) -> bool:
-        return key in self.keep
-
     def support(self, key: FactorKey) -> float:
         return self._support[key]
 
     def single_edge_motif(self, fac: FactorKey) -> FactorKey | None:
         """Motif node for a single edge with factors ``fac``, if any
         (Sec. 3: the gate deciding whether an edge enters the window)."""
-        root = self.trie.nodes[ROOT_KEY]
-        for child in root.children_by_fac.get(fac, ()):
-            if child in self.keep:
-                return child
-        return None
+        return self.motif_child(ROOT_KEY, fac)
 
     def motif_child(self, key: FactorKey, fac: FactorKey) -> FactorKey | None:
         """Motif child of node ``key`` whose factor-set difference equals
@@ -231,37 +241,37 @@ class MotifIndex:
         return None
 
     def table(self, la: str, lb: str) -> StepTable:
-        """The step table of ``la``-``lb`` edges, built on first use from
-        :meth:`motif_child` over every endpoint degree pair ``du, dv`` in
-        ``[0, n_edges(node)]``.
+        """The table of ``la``-``lb`` edges: the one place that decides
+        what such an edge does. Built on first use, so there is one per
+        ordered label pair the stream shows, workload labels or not.
 
-        A match's vertices have at most as many sub-graph edges as the
-        match, so these are all the degrees an extension can see, and a
-        lookup equals ``motif_child(node, fac(h, la, lb, du, dv))``. Decided
-        by the same factor arithmetic as matching (never by comparing query
-        labels), so signature collisions behave exactly as they do there.
-        ``fac`` is symmetric, so the same calls fill the mirror table of
-        ``lb``-``la`` edges.
+        ``edge`` is ``single_edge_motif(fac(h, la, lb))``. The steps come
+        from :meth:`motif_child` over every endpoint degree pair ``du, dv``
+        in ``[0, n_edges(node)]``: a match's vertices have at most as many
+        sub-graph edges as the match, so these are all the degrees an
+        extension can see, and a lookup equals ``motif_child(node, fac(h,
+        la, lb, du, dv))``. Both are decided by factor arithmetic (never by
+        comparing query labels), so signature collisions behave exactly as
+        they do in matching. ``fac`` is symmetric, so the same calls fill
+        the mirror table of ``lb``-``la`` edges, which shares ``edge`` and
+        ``support``.
         """
         table = self._tables.get((la, lb))
         if table is None:
+            h = self.trie.h
+            edge = self.single_edge_motif(fac(h, la, lb))
+            support = self._support[edge] if edge is not None else 0.0
             steps, mirror = {}, {}
             for key in self.keep:
                 degrees = range(self.trie.nodes[key].n_edges + 1)
                 for du in degrees:
                     for dv in degrees:
-                        child = self.motif_child(key, fac(self.trie.h, la, lb, du, dv))
+                        child = self.motif_child(key, fac(h, la, lb, du, dv))
                         if child is not None:
                             steps[(key, du, dv)] = mirror[(key, dv, du)] = child
-            self._tables[(lb, la)] = StepTable.of(mirror)
-            table = self._tables[(la, lb)] = StepTable.of(steps)
+            self._tables[(lb, la)] = StepTable.of(edge, support, mirror)
+            table = self._tables[(la, lb)] = StepTable.of(edge, support, steps)
         return table
-
-    def extendable(self, la: str, lb: str) -> frozenset[FactorKey]:
-        """Edge-type extension filter: the motif nodes that an ``la``-``lb``
-        edge takes to a motif child for some endpoint degrees (a node
-        outside it proves :meth:`motif_child` misses for every such edge)."""
-        return self.table(la, lb).nodes
 
     def max_motif_edges(self) -> int:
         """Edge count of the largest motif (bounds match growth)."""

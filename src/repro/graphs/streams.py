@@ -21,8 +21,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.model import LabeledGraph, norm_edge
 
@@ -94,22 +92,3 @@ def ordered_stream(
     if order == "random":
         return random_order(graph, seed=seed)
     raise ValueError(f"unknown stream order {order!r}; expected one of {ORDERS}")
-
-
-def stream_df(
-    spark: SparkSession, graph: LabeledGraph, order: str, *, seed: int = 0
-) -> DataFrame:
-    """The ordered stream as a position-stamped Spark DataFrame
-    (pos, src, dst, src_label, dst_label) — the materialised form consumed
-    by jobs and checked by the oracle."""
-    edges = ordered_stream(graph, order, seed=seed)
-    pdf = pd.DataFrame(
-        {
-            "pos": np.arange(len(edges), dtype="int64"),
-            "src": [u for u, _ in edges],
-            "dst": [v for _, v in edges],
-            "src_label": [graph.label_of(u) for u, _ in edges],
-            "dst_label": [graph.label_of(v) for _, v in edges],
-        }
-    )
-    return spark.createDataFrame(pdf)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core.loom import DEFAULT_ALPHA, LoomPartitioner, ration
+from repro.core.motifs import Match
 from repro.core.tpstry import TPSTry
 from repro.eval.harness import run_system
 from repro.graphs import generators, streams
@@ -222,20 +223,38 @@ class TestCapacity:
 
 
 class TestEdgeTypeSupport:
+    """The tie-break weights an edge type by its step table's support."""
+
     def test_motif_type_support(self):
-        p = make_loom()
-        p.labels.update({10: "a", 11: "b"})
-        assert p._edge_type_support(10, 11) == pytest.approx(1.0)  # a-b in both queries
+        table = make_loom().motifs.table("a", "b")
+        assert table.edge is not None
+        assert table.support == pytest.approx(1.0)  # a-b in both queries
 
     def test_non_motif_type_zero(self):
-        p = make_loom()
-        p.labels.update({10: "z", 11: "z"})
-        assert p._edge_type_support(10, 11) == 0.0
+        table = make_loom().motifs.table("z", "z")
+        assert table.edge is None
+        assert table.support == 0.0
 
     def test_cache_symmetric(self):
+        motifs = make_loom().motifs
+        ab, ba = motifs.table("a", "b"), motifs.table("b", "a")
+        assert (ab.edge, ab.support) == (ba.edge, ba.support)
+        assert set(motifs._tables) == {("a", "b"), ("b", "a")}
+
+    def test_tie_break_weights_neighbours_by_edge_type(self):
+        """No partition bids, so the tie-break decides. Cluster vertex 0
+        (label a) has one a-b neighbour in partition 0 (weight 0.1 + 1.0)
+        and two a-c neighbours in partition 1 (0.1 + 0.0 each). Partition 0
+        wins although partition 1 has more neighbours and fewer vertices."""
         p = make_loom()
-        p.labels.update({10: "a", 11: "b"})
-        s1 = p._edge_type_support(10, 11)
-        s2 = p._edge_type_support(11, 10)
-        assert s1 == s2
-        assert len(p._type_supp_cache) == 1
+        st = p.state
+        p.labels.update({0: "a", 1: "b", 10: "b", 11: "c", 12: "c"})
+        for w, pid in ((10, 0), (11, 1), (12, 1)):
+            st.observe_edge(0, w)
+            st.assign(w, pid)
+        for w in (20, 21, 22):
+            st.assign(w, 0)
+        assert st.sizes == [4, 2]
+        node = p.motifs.table("a", "b").edge
+        m_e = [Match(frozenset({100}), node, frozenset({0, 1}))]
+        assert p._bid(m_e) == (0, 1)

@@ -204,7 +204,7 @@ class TestInvariants:
         for e in (E1, E2, E3, E4, E5):
             matcher.offer(e)
         for m in live_matches(matcher):
-            assert matcher.motifs.is_motif(m.node)
+            assert m.node in matcher.motifs.keep
 
     def test_by_eid_index_consistent(self, matcher):
         for e in (E1, E2, E3, E4, E5):
@@ -273,7 +273,7 @@ def assert_sound(matcher):
         assert placed[m] == verts
         assert indexed[m] == set(m.eids)
         g = LabeledGraph({x: labels[x] for x in verts}, edges)
-        assert m.node == factor_key(graph_factors(g, matcher.h))
+        assert m.node == factor_key(graph_factors(g, matcher.motifs.trie.h))
 
 
 class TestSoundnessOracle:
@@ -334,9 +334,9 @@ class TestMatchContract:
 
 class ReferenceMatcher(WindowMatcher):
     """Match extension as it was before the step tables: the union of both
-    endpoints' matchLists, the edge-type ``extendable`` filter, then
-    ``motif_child(fac(e, m))`` for every candidate, from degrees recounted
-    off the window."""
+    endpoints' matchLists, the edge-type node filter ``table(la, lb).nodes``,
+    then ``motif_child(fac(e, m))`` for every candidate, from degrees
+    recounted off the window."""
 
     def _window_degrees(self, eids):
         deg = {}
@@ -346,9 +346,9 @@ class ReferenceMatcher(WindowMatcher):
             deg[e.v] = deg.get(e.v, 0) + 1
         return deg
 
-    def _extend_with(self, e):
+    def _extend_with(self, e, _table):
         u, v = e.u, e.v
-        can = self.motifs.extendable(e.lu, e.lv)
+        can = self.motifs.table(e.lu, e.lv).nodes
         if not can:
             return
         candidates = [
@@ -358,7 +358,7 @@ class ReferenceMatcher(WindowMatcher):
         ]
         for m in candidates:
             deg = self._window_degrees(m.eids)
-            f = fac(self.h, e.lu, e.lv, deg.get(u, 0), deg.get(v, 0))
+            f = fac(self.motifs.trie.h, e.lu, e.lv, deg.get(u, 0), deg.get(v, 0))
             child = self.motifs.motif_child(m.node, f)
             if child is not None:
                 self._record(self._match(m.eids | {e.eid}, child))
@@ -372,9 +372,9 @@ class ReferenceMatcher(WindowMatcher):
             e2 = self.window[eid]
             if e2.u not in deg and e2.v not in deg:
                 continue
-            if node not in self.motifs.extendable(e2.lu, e2.lv):
+            if node not in self.motifs.table(e2.lu, e2.lv).nodes:
                 continue
-            f = fac(self.h, e2.lu, e2.lv, deg.get(e2.u, 0), deg.get(e2.v, 0))
+            f = fac(self.motifs.trie.h, e2.lu, e2.lv, deg.get(e2.u, 0), deg.get(e2.v, 0))
             child = self.motifs.motif_child(node, f)
             if child is not None:
                 self._grow(base | {eid}, child, remaining - {eid})
@@ -399,12 +399,12 @@ class AlwaysJoinMatcher(WindowMatcher):
     window, whatever the largest motif's size."""
 
     def offer(self, e):
-        node = self.motifs.single_edge_motif(fac(self.h, e.lu, e.lv))
+        node = self.motifs.single_edge_motif(fac(self.motifs.trie.h, e.lu, e.lv))
         if node is None:
             return False
         self.window[e.eid] = e
         self._record(self._match(frozenset([e.eid]), node))
-        self._extend_with(e)
+        self._extend_with(e, self.motifs.table(e.lu, e.lv))
         self._join_pairs(e)
         return True
 

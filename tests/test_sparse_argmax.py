@@ -86,8 +86,11 @@ def rations_reference(sizes, capacity, alpha):
     return out
 
 
-def equal_opportunism_reference(p, m_e):
-    """(winner, prefix length) of the full comparison over all k."""
+def equal_opportunism_reference(p, m_e, type_supp=None):
+    """(winner, prefix length) of the full comparison over all k.
+    ``type_supp`` maps each label pair ``(la, lb)``, ``la <= lb``, to the
+    edge type's tie-break weight (needed only when the cluster has an
+    unassigned vertex with assigned neighbours)."""
     st_ = p.state
     supports = [p.motifs.support(m.node) for m in m_e]
     cluster = {v for m in m_e for v in m.vertices}
@@ -97,7 +100,8 @@ def equal_opportunism_reference(p, m_e):
             for w in st_.adj.get(v, ()):
                 pid = st_.assignment.get(w, -1)
                 if pid >= 0:
-                    nbr_counts[pid] += 0.1 + p._edge_type_support(v, w)
+                    lv, lw = sorted((p.labels[v], p.labels[w]))
+                    nbr_counts[pid] += 0.1 + type_supp[(lv, lw)]
     in_part = [dense_counts(st_, m.vertices) for m in m_e]
     sizes, cap, n_m = st_.sizes, st_.capacity, len(m_e)
     best_pid, best_key, best_n = 0, None, 1
@@ -176,9 +180,10 @@ def loom(k, n, alpha=DEFAULT_ALPHA):
 
 @st.composite
 def clusters(draw):
-    """A Loom partitioner in a random state and a support-ordered M_e over
+    """A Loom partitioner in a random state, a support-ordered M_e over
     cluster vertices 0..11, some assigned, the unassigned ones with
-    assigned neighbours for the tie-break scan."""
+    assigned neighbours for the tie-break scan, and the edge-type weights
+    drawn into the motif index's step tables."""
     k = draw(st.sampled_from(KS))
     n = draw(st.integers(1, 40 * k))
     p = loom(k, n, alpha=draw(st.sampled_from([DEFAULT_ALPHA, 0.0, 0.5, 1.0])))
@@ -207,11 +212,16 @@ def clusters(draw):
         vs = draw(st.frozensets(st.integers(0, n_cluster - 1), min_size=2, max_size=4))
         m_e.append(Match(frozenset({100 + j}), supp_pool.index(supp), vs))
     p.motifs.support = lambda node: supp_pool[node]
-    p._type_supp_cache = {
+    type_supp = {
         (la, lb): draw(st.sampled_from([0.0, 0.4, 1.0]))
         for la in LABELS for lb in LABELS if la <= lb
     }
-    return p, m_e
+    tables = p.motifs._tables
+    for la in LABELS:
+        for lb in LABELS:
+            supp = type_supp[(min(la, lb), max(la, lb))]
+            tables[(la, lb)] = p.motifs.table(la, lb)._replace(support=supp)
+    return p, m_e, type_supp
 
 
 # ----------------------------------------------------------------- tests
@@ -230,8 +240,8 @@ def test_fennel_choose_matches_full_scan(p):
 @settings(max_examples=400, deadline=None)
 @given(clusters())
 def test_equal_opportunism_matches_full_comparison(case):
-    p, m_e = case
-    assert p._bid(m_e) == equal_opportunism_reference(p, m_e)
+    p, m_e, type_supp = case
+    assert p._bid(m_e) == equal_opportunism_reference(p, m_e, type_supp)
 
 
 def cluster_case(k, sizes, assigned, m_vertices, supports, alpha=DEFAULT_ALPHA):

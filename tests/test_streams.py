@@ -1,7 +1,7 @@
 """Unit tests for graph stream orderings (paper Sec. 5.1)."""
 import pytest
 
-from repro.graphs.generators import dblp_lite, provgen_lite
+from repro.graphs.generators import provgen_lite
 from repro.graphs.model import LabeledGraph, norm_edge
 from repro.graphs.streams import (
     ORDERS,
@@ -9,7 +9,6 @@ from repro.graphs.streams import (
     dfs_order,
     ordered_stream,
     random_order,
-    stream_df,
 )
 
 
@@ -145,28 +144,3 @@ class TestTraversalStructure:
         rnd_d = mean_incident_distance(random_order(graph, seed=0))
         assert bfs_d < 0.8 * rnd_d
 
-
-class TestStreamDF:
-    def test_stream_df_schema_and_order(self, spark, graph):
-        df = stream_df(spark, graph, "bfs", seed=0)
-        assert set(df.columns) == {"pos", "src", "dst", "src_label", "dst_label"}
-        rows = df.orderBy("pos").collect()
-        assert [(r["src"], r["dst"]) for r in rows] == bfs_order(graph, seed=0)
-
-    def test_stream_df_labels_match(self, spark):
-        g = dblp_lite(scale=200)
-        df = stream_df(spark, g, "random", seed=1)
-        for r in df.collect():
-            assert r["src_label"] == g.label_of(r["src"])
-            assert r["dst_label"] == g.label_of(r["dst"])
-
-    def test_stream_df_count_oracle(self, spark, graph):
-        from repro.oracle import assert_equivalent
-
-        df = stream_df(spark, graph, "dfs", seed=0)
-        got = df.groupBy("src_label").count().withColumnRenamed("count", "n")
-        assert_equivalent(
-            got,
-            "SELECT src_label, COUNT(*) AS n FROM s GROUP BY src_label",
-            s=df,
-        )

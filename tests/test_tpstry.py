@@ -3,7 +3,9 @@ import pytest
 
 from repro.core.signature import LabelHash, fac, incremental_factors
 from repro.core.tpstry import ROOT_KEY, TPSTry
+from repro.graphs import generators, streams
 from repro.graphs.model import LabeledGraph
+from repro.partitioners.base import stream_of
 from repro.workloads.queries import _path, _star, workload
 
 
@@ -21,6 +23,11 @@ def fig1_trie():
     return TPSTry.from_workload(fig1_workload(), p=251, seed=7)
 
 
+def children(node):
+    """Every child key of a trie node, over all its ``fac`` links."""
+    return {c for cs in node.children_by_fac.values() for c in cs}
+
+
 class TestConstruction:
     def test_root_exists(self, fig1_trie):
         assert ROOT_KEY in fig1_trie.nodes
@@ -28,13 +35,13 @@ class TestConstruction:
 
     def test_single_edge_nodes_are_root_children(self, fig1_trie):
         root = fig1_trie.nodes[ROOT_KEY]
-        for child in root.children:
+        for child in children(root):
             assert fig1_trie.nodes[child].n_edges == 1
 
     def test_fig1_single_edges(self, fig1_trie):
         """Fig. 2's first trie level: exactly the edge types a-b and b-c."""
         root = fig1_trie.nodes[ROOT_KEY]
-        reps = {fig1_trie.nodes[c].rep_edges for c in root.children}
+        reps = {fig1_trie.nodes[c].rep_edges for c in children(root)}
         assert reps == {(("a", "b"),), (("b", "c"),)}
 
     def test_isomorphic_subgraphs_share_nodes(self):
@@ -56,7 +63,7 @@ class TestConstruction:
         paths3 = [n for n in trie.nodes.values() if n.n_edges == 3]
         assert len(paths3) == 1  # the a-b-a-b path
         parents = [
-            n for n in trie.nodes.values() if paths3[0].key in n.children
+            n for n in trie.nodes.values() if paths3[0].key in children(n)
         ]
         # both 2-edge sub-paths (a-b-a and b-a-b) are distinct nodes and
         # both link to the 3-edge path
@@ -71,12 +78,6 @@ class TestConstruction:
             by_depth.setdefault(n.n_edges, 0)
             by_depth[n.n_edges] += 1
         assert by_depth == {0: 1, 1: 2, 2: 1}
-
-    def test_children_by_fac_resolves(self, fig1_trie):
-        """Every child is reachable through its fac key (Alg. 2's lookup)."""
-        for node in fig1_trie.nodes.values():
-            via_fac = {c for cs in node.children_by_fac.values() for c in cs}
-            assert via_fac == node.children
 
     def test_rejects_empty_query(self):
         trie = TPSTry(LabelHash(["a"]))
@@ -115,7 +116,7 @@ class TestSupport:
     def test_support_monotone_on_trie_paths(self, fig1_trie):
         """Sec. 3: a node's support never exceeds any ancestor's."""
         for node in fig1_trie.nodes.values():
-            for child in node.children:
+            for child in children(node):
                 assert (
                     fig1_trie.support(child) <= fig1_trie.support(node.key) + 1e-12
                 )
@@ -149,9 +150,9 @@ class TestMotifIndex:
         for node in fig1_trie.nodes.values():
             if node.key == ROOT_KEY:
                 continue
-            for child in node.children:
-                if motifs.is_motif(child):
-                    assert motifs.is_motif(node.key)
+            for child in children(node):
+                if child in motifs.keep:
+                    assert node.key in motifs.keep
 
     def test_single_edge_motif_lookup(self, fig1_trie):
         from repro.core.signature import incremental_factors
@@ -186,7 +187,7 @@ class TestMotifIndex:
 
 
 class TestExtensionFilter:
-    """A node outside MotifIndex.extendable(la, lb) must have no motif
+    """A node outside ``MotifIndex.table(la, lb).nodes`` must have no motif
     child for any la-lb edge, whatever the endpoint degrees."""
 
     LABELS = ["a", "b", "c", "z"]  # z: a data label absent from the workload
@@ -198,7 +199,7 @@ class TestExtensionFilter:
             n = fig1_trie.nodes[key].n_edges
             for la in self.LABELS:
                 for lb in self.LABELS:
-                    if key in motifs.extendable(la, lb):
+                    if key in motifs.table(la, lb).nodes:
                         continue
                     for du in range(n + 1):
                         for dv in range(n + 1):
@@ -211,16 +212,16 @@ class TestExtensionFilter:
         ab = next(
             n.key for n in fig1_trie.nodes.values() if n.rep_edges == (("a", "b"),)
         )
-        assert ab in motifs.extendable("a", "b")
-        assert ab in motifs.extendable("c", "b")
-        assert ab not in motifs.extendable("a", "c")
-        assert not motifs.extendable("z", "z")
+        assert ab in motifs.table("a", "b").nodes
+        assert ab in motifs.table("c", "b").nodes
+        assert ab not in motifs.table("a", "c").nodes
+        assert not motifs.table("z", "z").nodes
 
     def test_symmetric_in_labels(self, fig1_trie):
         motifs = fig1_trie.motifs(0.4)
         for la in self.LABELS:
             for lb in self.LABELS:
-                assert motifs.extendable(la, lb) == motifs.extendable(lb, la)
+                assert motifs.table(la, lb).nodes == motifs.table(lb, la).nodes
 
     def test_fac_matches_incremental_factors(self, fig1_trie):
         labels = {0: "a", 1: "b", 2: "c"}
@@ -341,10 +342,10 @@ class TestStepTable:
 
     @pytest.mark.parametrize("motifs, labels", workload_cases())
     def test_extendable_is_node_projection(self, motifs, labels):
+        """The nodes an la-lb edge can extend are exactly the steps' nodes."""
         for la in labels:
             for lb in labels:
                 table = motifs.table(la, lb)
-                assert motifs.extendable(la, lb) == table.nodes
                 assert table.nodes == {n for n, _, _ in table.steps}
 
     def test_side_sets_on_fig1(self, fig1_trie):
@@ -369,3 +370,53 @@ class TestStepTable:
         motifs = fig1_trie.motifs(0.0)
         for key in fig1_trie.nodes:
             assert motifs.support(key) == fig1_trie.support(key)
+
+
+class TestEdgeGate:
+    """``table(la, lb).edge`` is the window gate and ``.support`` the
+    tie-break weight: both must be what the single-edge motif lookup
+    gives, for every label pair a stream can show."""
+
+    @pytest.mark.parametrize("name", ["dblp", "provgen", "musicbrainz", "lubm"])
+    def test_every_label_pair_of_a_stream(self, name):
+        """Every ordered pair over the labels of the scale-2,000 graph and
+        its workload, plus a label ``z`` in neither, so pairs the stream
+        never shows and pairs absent from the workload are covered."""
+        graph = generators.generate(name, scale=2_000)
+        stream = list(stream_of(graph, streams.ordered_stream(graph, "bfs", seed=0)))
+        wl = workload(name)
+        motifs = TPSTry.from_workload(wl).motifs(0.4)
+        h = motifs.trie.h
+        labels = sorted(
+            graph.label_set().union(*(q.label_set() for q, _ in wl)) | {"z"}
+        )
+        for la in labels:
+            for lb in labels:
+                table, mirror = motifs.table(la, lb), motifs.table(lb, la)
+                assert table.edge == motifs.single_edge_motif(fac(h, la, lb))
+                assert (table.edge, table.support) == (mirror.edge, mirror.support)
+                if table.edge is None:
+                    assert table.support == 0.0
+                else:
+                    assert table.support == motifs.support(table.edge)
+        # The stream has edge types on both sides of the gate.
+        gated = {motifs.table(e.lu, e.lv).edge is None for e in stream}
+        assert gated == {True, False}
+
+    def test_gate_follows_factor_arithmetic_not_labels(self):
+        """With r(a) = 3, r(b) = 10 and r(x) = 6, an x-b edge has the
+        factors {|6 - 10|, 6 + 1, 10 + 1} = {4, 7, 11} of an a-b edge
+        ({|3 - 10|, 3 + 1, 10 + 1}), so it passes the gate as a-b although
+        no query has label x; y (r = 5, factors {5, 6, 11}) does not."""
+        h = LabelHash(["a", "b"]).with_r({"a": 3, "b": 10, "x": 6, "y": 5})
+        assert fac(h, "x", "b") == fac(h, "a", "b")
+        trie = TPSTry(h)
+        trie.add_query(_path(["a", "b", "a"]))
+        motifs = trie.motifs(0.4)
+        ab = motifs.table("a", "b")
+        assert ab.edge is not None and ab.support == 1.0
+        for la, lb in (("x", "b"), ("b", "x")):
+            table = motifs.table(la, lb)
+            assert (table.edge, table.support) == (ab.edge, ab.support)
+        assert motifs.table("y", "b").edge is None
+        assert motifs.table("y", "b").support == 0.0
