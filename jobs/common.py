@@ -11,6 +11,8 @@ import argparse
 
 from pyspark.sql import SparkSession
 
+from repro.core.loom import DEFAULT_WINDOW
+
 
 def job_session(app: str) -> SparkSession:
     """A SparkSession with the configs honoured after JVM launch.
@@ -31,6 +33,6 @@ def job_parser(desc: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=desc)
     ap.add_argument("--scale", type=int, default=20_000, help="approx vertex count")
     ap.add_argument("--k", type=int, default=8, help="number of partitions")
-    ap.add_argument("--window", type=int, default=10_000, help="Loom window t")
+    ap.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="Loom window t")
     ap.add_argument("--seed", type=int, default=0, help="stream-order seed")
     return ap

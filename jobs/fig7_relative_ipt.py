@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
+from repro.core.loom import DEFAULT_WINDOW
 from repro.eval.harness import format_rows, run_experiment
 from repro.graphs.generators import generate
 from repro.graphs.streams import ORDERS
@@ -20,7 +21,7 @@ DATASET_ORDER = ["dblp", "provgen", "musicbrainz", "lubm"]
 
 
 def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
-        window: int = 10_000, seed: int = 0,
+        window: int = DEFAULT_WINDOW, seed: int = 0,
         datasets=tuple(DATASET_ORDER), orders=ORDERS) -> str:
     rows = []
     for name in datasets:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
+from repro.core.loom import DEFAULT_WINDOW
 from repro.eval.harness import format_rows, run_experiment
 from repro.graphs.generators import generate
 
@@ -17,7 +18,7 @@ K_VALUES = (2, 4, 8, 16, 32)
 DATASETS = ("dblp", "musicbrainz")
 
 
-def run(spark: SparkSession, *, scale: int = 20_000, window: int = 10_000,
+def run(spark: SparkSession, *, scale: int = 20_000, window: int = DEFAULT_WINDOW,
         seed: int = 0, datasets=DATASETS, ks=K_VALUES) -> str:
     rows = []
     for name in datasets:

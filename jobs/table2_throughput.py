@@ -17,6 +17,7 @@ import statistics
 
 from pyspark.sql import SparkSession
 
+from repro.core.loom import DEFAULT_WINDOW
 from repro.eval.harness import run_system
 from repro.graphs.generators import generate
 from repro.graphs.streams import ordered_stream
@@ -38,7 +39,7 @@ PAPER_TABLE2 = {
 
 
 def run(spark: SparkSession, *, scale: int = 20_000, k: int = 8,
-        window: int = 10_000, seed: int = 0) -> str:
+        window: int = DEFAULT_WINDOW, seed: int = 0) -> str:
     hdr = f"{'Dataset':<12} " + " ".join(
         f"{s + ' (paper)':>18}" for s in SYSTEM_ORDER
     )

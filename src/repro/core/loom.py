@@ -93,18 +93,15 @@ class LoomPartitioner(StreamingPartitioner):
         threshold: float = DEFAULT_THRESHOLD,
         alpha: float = DEFAULT_ALPHA,
         b: float = DEFAULT_B,
-        p: int = 251,
-        seed: int = 7,
     ):
         super().__init__(k, n_vertices, slack=b)
         if motifs is None:
             if workload is None:
                 raise ValueError("provide a workload or a prebuilt MotifIndex")
-            motifs = TPSTry.from_workload(workload, p=p, seed=seed).motifs(threshold)
+            motifs = TPSTry.from_workload(workload).motifs(threshold)
         self.motifs = motifs
         self.t = window
         self.alpha = alpha
-        self.b = b
         self.labels: dict[int, str] = {}
         self.matcher = WindowMatcher(motifs)
 

@@ -48,9 +48,10 @@ class TrieNode:
     # that produced this node (for inspection / tests only).
     rep_edges: tuple[tuple[str, str], ...]
     support_mass: float = 0.0
-    # fac(e, g) multiset-key -> child node keys reachable by adding an edge
-    # with those factors. Alg. 2 line 7 resolves matches through this map.
-    children_by_fac: dict[FactorKey, set[FactorKey]] = field(default_factory=dict)
+    # fac(e, g) multiset-key -> the child node key reached by adding an edge
+    # with those factors: sorted(key + fac), so one child per factor key.
+    # Alg. 2 line 7 resolves matches through this map.
+    children_by_fac: dict[FactorKey, FactorKey] = field(default_factory=dict)
 
 
 ROOT_KEY: FactorKey = ()
@@ -146,7 +147,7 @@ class TPSTry:
             )
             node = TrieNode(child_key, len(rep_edges), tuple(sorted(rep)))
             self.nodes[child_key] = node
-        self.nodes[parent_key].children_by_fac.setdefault(fac, set()).add(child_key)
+        self.nodes[parent_key].children_by_fac[fac] = child_key
         return child_key
 
     def support(self, key: FactorKey) -> float:
@@ -234,11 +235,8 @@ class MotifIndex:
     def motif_child(self, key: FactorKey, fac: FactorKey) -> FactorKey | None:
         """Motif child of node ``key`` whose factor-set difference equals
         ``fac`` (Alg. 2 line 7: ``fac(e, g) = c.signatures \\ n.signatures``)."""
-        node = self.trie.nodes[key]
-        for child in node.children_by_fac.get(fac, ()):
-            if child in self.keep:
-                return child
-        return None
+        child = self.trie.nodes[key].children_by_fac.get(fac)
+        return child if child in self.keep else None
 
     def table(self, la: str, lb: str) -> StepTable:
         """The table of ``la``-``lb`` edges: the one place that decides

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
-from repro.core.loom import DEFAULT_ALPHA, DEFAULT_B, DEFAULT_THRESHOLD, LoomPartitioner
+from repro.core.loom import DEFAULT_WINDOW, LoomPartitioner
 from repro.eval.ipt import WorkloadIpt, workload_ipt
 from repro.graphs.generators import generate
 from repro.graphs.model import LabeledGraph
@@ -40,9 +40,6 @@ def build_partitioner(
     wl: Workload,
     *,
     window: int | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    alpha: float = DEFAULT_ALPHA,
-    b: float = DEFAULT_B,
 ) -> StreamingPartitioner:
     """Instantiate one of the four evaluated systems (Sec. 5.1)."""
     n, m = graph.n_vertices, graph.n_edges
@@ -51,18 +48,16 @@ def build_partitioner(
     if name == "ldg":
         return LDGPartitioner(k, n)
     if name == "fennel":
-        return FennelPartitioner(k, n, m, gamma=1.5, nu=1.1)
+        return FennelPartitioner(k, n, m)
     if name == "loom":
         t = window if window is not None else default_window(m)
-        return LoomPartitioner(
-            k, n, wl, window=t, threshold=threshold, alpha=alpha, b=b
-        )
+        return LoomPartitioner(k, n, wl, window=t)
     raise ValueError(f"unknown system {name!r}; expected one of {SYSTEMS}")
 
 
 def default_window(n_edges: int) -> int:
     """Paper default t = 10k, capped so scaled-down streams still slide."""
-    return max(10, min(10_000, n_edges // 4))
+    return max(10, min(DEFAULT_WINDOW, n_edges // 4))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.eval.matcher import DEDGES, VERTICES, WEIGHTS, cut_sql, workload_weights_sql
+from repro.eval.matcher import DEDGES, WEIGHTS, cut_sql, workload_weights_sql
 from repro.graphs.model import LabeledGraph
 from repro.workloads.queries import Workload
 
@@ -41,9 +41,10 @@ def partition_tables(
     """Pandas (vertices, dedges) tables for a partitioned graph.
 
     ``vertices`` is (vid, label, part) — vertices the partitioner never saw
-    (isolated; they join no embedding) get part = -1. ``dedges`` holds both
-    orientations of every undirected edge, denormalised with each
-    endpoint's label and partition (see :mod:`repro.eval.matcher`).
+    (isolated; they join no embedding) get part = -1; no SQL reads it.
+    ``dedges`` holds both orientations of every undirected edge,
+    denormalised with each endpoint's label and partition (see
+    :mod:`repro.eval.matcher`).
     """
     vids = sorted(graph.labels)
     vertices = pd.DataFrame(
@@ -69,11 +70,8 @@ def partition_tables(
     return vertices, dedges
 
 
-def register_views(
-    spark: SparkSession, vertices: pd.DataFrame, dedges: pd.DataFrame
-) -> None:
-    """Register the two tables as the temp views the compiled SQL expects."""
-    spark.createDataFrame(vertices).createOrReplaceTempView(VERTICES)
+def register_views(spark: SparkSession, dedges: pd.DataFrame) -> None:
+    """Register ``dedges`` as the temp view the compiled SQL reads."""
     spark.createDataFrame(dedges).createOrReplaceTempView(DEDGES)
 
 
@@ -149,7 +147,7 @@ def edge_weights(
     entry = _WEIGHTS.get(gid)
     if entry is not None and entry[0]() is graph and entry[1] == key:
         return entry[2]
-    register_views(spark, *partition_tables(graph, {}))
+    register_views(spark, partition_tables(graph, {})[1])
     patterns = [p for p, _ in workload]
     pdf = spark.sql(workload_weights_sql(patterns)).toPandas()
     n = len(pdf)

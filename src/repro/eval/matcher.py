@@ -13,10 +13,10 @@ columns, labels by literal predicates, and isomorphism by ``<>``
 constraints between pattern vertices of equal label (different labels can
 never collide, so those predicates are omitted).
 
-Joining edge aliases directly — instead of one ``vertices`` alias per
-pattern vertex — keeps every join keyed on vids; the vertex-alias
-formulation degenerates to a near cross-product of the vertex table on
-same-label patterns in both DuckDB and Catalyst.
+``dedges`` is the only table the SQL reads. Joining edge aliases
+directly — instead of a vertex table once per pattern vertex — keeps
+every join keyed on vids; the vertex-table formulation degenerates to a
+near cross-product on same-label patterns in both DuckDB and Catalyst.
 
 The same SQL text runs unchanged on DuckDB, which is how
 ``repro.oracle.assert_equivalent`` validates the Catalyst plans in tests.
@@ -38,7 +38,6 @@ from __future__ import annotations
 from repro.graphs.model import LabeledGraph
 
 DEDGES = "dedges"  # (src, dst, src_label, dst_label, src_part, dst_part)
-VERTICES = "vertices"  # (vid, label, part) — stats/balance queries only
 WEIGHTS = "edge_weights"  # (src_part, dst_part, w0, ..., w{n-1})
 
 
@@ -75,15 +74,6 @@ def embeddings_sql(pattern: LabeledGraph) -> str:
         f"{rep[v][0]} AS m{i}" for i, v in enumerate(sorted(pattern.labels))
     )
     return f"SELECT {cols} FROM {', '.join(froms)} WHERE {' AND '.join(wheres)}"
-
-
-def count_sql(pattern: LabeledGraph) -> str:
-    """SELECT COUNT(*) of embeddings (aliased ``n_matches`` on both engines)."""
-    froms, wheres, _ = _plan(pattern)
-    return (
-        f"SELECT COUNT(*) AS n_matches FROM {', '.join(froms)} "
-        f"WHERE {' AND '.join(wheres)}"
-    )
 
 
 def ipt_sql(pattern: LabeledGraph) -> str:

@@ -7,9 +7,10 @@ the marginal interpolated objective
     |N(v) ∩ S_i| − α · γ · |S_i|^(γ−1),   α = √k · m / n^(3/2)
 
 subject to the hard balance constraint |S_i| < ν · n / k (ν = 1.1, the
-same maximum imbalance Loom adopts for b). As with LDG we apply the
-vertex rule to each unassigned endpoint of the arriving edge, scored over
-the adjacency revealed so far.
+same maximum imbalance Loom adopts for b). Sizes are integers, so this is
+|S_i| < ⌈ν · n / k⌉, the shared ``PartitionState.capacity``. As with LDG
+we apply the vertex rule to each unassigned endpoint of the arriving
+edge, scored over the adjacency revealed so far.
 
 γ must be at least 1. Then the penalty never falls as a partition grows,
 so of the partitions holding no neighbour of ``v`` the least loaded,
@@ -41,10 +42,7 @@ class FennelPartitioner(StreamingPartitioner):
             raise ValueError(f"Fennel needs gamma >= 1, got {gamma}")
         super().__init__(k, n_vertices, slack=nu)
         self.gamma = gamma
-        self.nu = nu
-        n = max(1, n_vertices)
-        self.alpha = math.sqrt(k) * max(1, n_edges) / n**1.5
-        self.max_size = nu * n / k
+        self.alpha = math.sqrt(k) * max(1, n_edges) / max(1, n_vertices) ** 1.5
 
     def choose(self, v: int) -> int:
         st = self.state
@@ -53,7 +51,7 @@ class FennelPartitioner(StreamingPartitioner):
         penalty = self.alpha * self.gamma
         exponent = self.gamma - 1.0
         best_pid, best_key = -1, None
-        for pid in st.candidates(counts, self.max_size):
+        for pid in st.candidates(counts, st.capacity):
             size = sizes[pid]
             score = counts.get(pid, 0) - penalty * size**exponent
             key = (score, -size, -pid)

@@ -68,3 +68,38 @@ def test_run_system_takes_the_system_name_first():
     first = next(iter(inspect.signature(harness.run_system).parameters))
     assert first == "name"
 
+
+# The call shapes the benchmark uses with the names above.
+
+
+def test_loom_constructs_from_a_prebuilt_motif_index():
+    wl = queries.workload("provgen")
+    m = tpstry.TPSTry.from_workload(wl).motifs(loom.DEFAULT_THRESHOLD)
+    p = loom.LoomPartitioner(8, 100, motifs=m, window=50)
+    assert (p.motifs, p.t) == (m, 50)
+
+
+def test_partition_tables_returns_vertices_and_dedges():
+    g = generators.generate("provgen", scale=300)
+    tables = ipt.partition_tables(g, {v: 0 for v in g.labels})
+    assert isinstance(tables, tuple) and len(tables) == 2
+    assert list(tables[1].columns) == [
+        "src", "dst", "src_label", "dst_label", "src_part", "dst_part"
+    ]
+
+
+def test_cold_workload_ipt_registers_views_through_the_module_global(
+    spark, monkeypatch
+):
+    """``eval.register_views_s`` is traced by patching ``ipt.register_views``:
+    a cold graph must call it once, a warm one not at all."""
+    calls = []
+    real = ipt.register_views
+    monkeypatch.setattr(
+        ipt, "register_views", lambda *a: calls.append(a) or real(*a)
+    )
+    wl = queries.workload("provgen")
+    g1, g2 = (generators.generate("provgen", scale=300) for _ in range(2))
+    for g in (g1, g1, g2, g2):
+        harness.workload_ipt(spark, g, {v: v % 4 for v in g.labels}, wl)
+    assert len(calls) == 2

@@ -147,14 +147,14 @@ class TestDatasetSubstitutes:
         import duckdb
 
         from repro.eval.ipt import partition_tables
-        from repro.eval.matcher import count_sql
+        from repro.eval.matcher import ipt_sql
 
         g = DATASETS[name](scale=1500)
         _, dedges = partition_tables(g, {})
         con = duckdb.connect()
         con.register("dedges", dedges)
         for pat, _ in workload(name):
-            n = con.execute(count_sql(pat)).fetchone()[0]
+            n = con.execute(ipt_sql(pat)).fetchone()[0]  # n_matches
             assert n > 0, f"{name}: pattern {sorted(pat.labels.values())} unmatched"
         con.close()
 

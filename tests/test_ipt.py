@@ -169,8 +169,8 @@ class TestWeightedCutOracle:
 
     @pytest.mark.parametrize("dataset", ["dblp", "lubm"])
     def test_weights_sql_spark_equals_duckdb(self, spark, graphs, dataset):
-        vertices, dedges = partition_tables(graphs[dataset], {})
-        register_views(spark, vertices, dedges)
+        _, dedges = partition_tables(graphs[dataset], {})
+        register_views(spark, dedges)
         patterns = [p for p, _ in workload(dataset)]
         for pattern in patterns:
             got = spark.sql(weights_sql(pattern))
@@ -277,3 +277,11 @@ class TestWeightsCache:
         gc.collect()
         assert ref() is None
         assert gid not in ipt._WEIGHTS
+
+    def test_cold_call_registers_only_dedges(self, spark):
+        """The SQL reads ``dedges`` alone, so a cold ``edge_weights`` leaves
+        no ``vertices`` view behind."""
+        spark.catalog.dropTempView("vertices")
+        edge_weights(spark, provgen_lite(scale=300), workload("provgen"))
+        assert spark.catalog.tableExists(DEDGES)
+        assert not spark.catalog.tableExists("vertices")

@@ -7,10 +7,11 @@ import pytest
 from repro.core.loom import DEFAULT_ALPHA, LoomPartitioner, ration
 from repro.core.motifs import Match
 from repro.core.tpstry import TPSTry
-from repro.eval.harness import run_system
+from repro.eval.harness import default_window, run_system
 from repro.graphs import generators, streams
 from repro.graphs.model import LabeledGraph
 from repro.partitioners.base import StreamEdge, stream_of
+from repro.partitioners.ldg import LDGPartitioner
 from repro.workloads.queries import _path, workload
 
 
@@ -63,7 +64,7 @@ class TestConstruction:
         p = make_loom()
         assert p.t == 10_000
         assert p.alpha == pytest.approx(DEFAULT_ALPHA)
-        assert p.b == pytest.approx(1.1)
+        assert p.state.capacity == math.ceil(1.1 * 100 / 2)  # b·n/k
         assert p.motifs.threshold == pytest.approx(0.4)
 
 
@@ -206,6 +207,26 @@ class TestInputContract:
         del p.matcher._by_eid[0]
         with pytest.raises(RuntimeError, match="window edge 0 has no motif match"):
             p.add_edge(StreamEdge(2, 3, 4, "a", "b"))
+
+
+class TestNoMotifWorkload:
+    """DESIGN.md §3b.8: at a support threshold no node reaches, no edge
+    enters the window, so every vertex is placed the moment its first edge
+    arrives, by Loom's LDG fallback: Loom is LDG."""
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("order", ["bfs", "random"])
+    @pytest.mark.parametrize("dataset", ["dblp", "provgen", "musicbrainz", "lubm"])
+    def test_loom_assigns_as_ldg(self, dataset, order, k):
+        g = generators.generate(dataset, scale=2_000)
+        stream = list(stream_of(g, streams.ordered_stream(g, order, seed=0)))
+        loom = LoomPartitioner(
+            k, g.n_vertices, workload(dataset),
+            window=default_window(g.n_edges), threshold=1.01,
+        )
+        assert len(loom.motifs) == 0
+        want = LDGPartitioner(k, g.n_vertices).partition(stream)
+        assert loom.partition(stream) == want
 
 
 class TestCapacity:

@@ -8,7 +8,7 @@ import duckdb
 import pytest
 
 from repro.eval.ipt import partition_tables, register_views
-from repro.eval.matcher import DEDGES, count_sql, embeddings_sql, ipt_sql
+from repro.eval.matcher import DEDGES, embeddings_sql, ipt_sql
 from repro.graphs.generators import dblp_lite, musicbrainz_lite
 from repro.graphs.model import LabeledGraph
 from repro.oracle import assert_equivalent
@@ -30,37 +30,37 @@ def hash_assignment(g: LabeledGraph, k: int = 2) -> dict[int, int]:
 @pytest.fixture()
 def tiny_views(spark):
     g = tiny_graph()
-    vertices, dedges = partition_tables(g, hash_assignment(g))
-    register_views(spark, vertices, dedges)
-    return g, vertices, dedges
+    _, dedges = partition_tables(g, hash_assignment(g))
+    register_views(spark, dedges)
+    return g, dedges
 
 
 class TestSqlGeneration:
     def test_one_alias_per_pattern_edge(self):
-        sql = count_sql(_path(["a", "b", "c"]))
+        sql = embeddings_sql(_path(["a", "b", "c"]))
         assert sql.count(f"{DEDGES} e") == 2
 
     def test_labels_constrained(self):
-        sql = count_sql(_path(["a", "b"]))
+        sql = embeddings_sql(_path(["a", "b"]))
         assert "src_label = 'a'" in sql
         assert "dst_label = 'b'" in sql
 
     def test_distinctness_only_for_equal_labels(self):
-        sql_hetero = count_sql(_path(["a", "b", "c"]))
+        sql_hetero = embeddings_sql(_path(["a", "b", "c"]))
         assert "<>" not in sql_hetero  # no vid inequality predicates needed
-        sql_homo = count_sql(_path(["a", "b", "a"]))
+        sql_homo = embeddings_sql(_path(["a", "b", "a"]))
         assert "<>" in sql_homo
 
     def test_rejects_edgeless_pattern(self):
         with pytest.raises(ValueError):
-            count_sql(LabeledGraph({0: "a"}, []))
+            embeddings_sql(LabeledGraph({0: "a"}, []))
 
 
 class TestTinyGraphCounts:
     """Hand-computed embedding counts on the Fig. 1 graph."""
 
     def run_count(self, spark, pattern):
-        return spark.sql(count_sql(pattern)).collect()[0]["n_matches"]
+        return spark.sql(ipt_sql(pattern)).collect()[0]["n_matches"]
 
     def test_ab_edges(self, spark, tiny_views):
         # a-b edges: (1,2) (1,4) (4,5) (5,7) (6,7) (2,6) -> 6, each matched
@@ -102,22 +102,22 @@ class TestOracleEquivalence:
         ids=["edge", "path3", "homo-path", "star", "path4"],
     )
     def test_embeddings_match_duckdb(self, spark, tiny_views, pattern):
-        _, _, dedges = tiny_views
+        _, dedges = tiny_views
         got = spark.sql(embeddings_sql(pattern))
         assert_equivalent(got, embeddings_sql(pattern), dedges=dedges)
 
     def test_counts_match_duckdb_on_dblp(self, spark):
         g = dblp_lite(scale=300)
         _, dedges = partition_tables(g, hash_assignment(g, 4))
-        register_views(spark, *partition_tables(g, hash_assignment(g, 4)))
+        register_views(spark, dedges)
         for pattern, _ in workload("dblp"):
-            got = spark.sql(count_sql(pattern))
-            assert_equivalent(got, count_sql(pattern), dedges=dedges)
+            got = spark.sql(ipt_sql(pattern))
+            assert_equivalent(got, ipt_sql(pattern), dedges=dedges)
 
     def test_ipt_matches_duckdb_on_musicbrainz(self, spark):
         g = musicbrainz_lite(scale=300)
-        vertices, dedges = partition_tables(g, hash_assignment(g, 4))
-        register_views(spark, vertices, dedges)
+        _, dedges = partition_tables(g, hash_assignment(g, 4))
+        register_views(spark, dedges)
         for pattern, _ in workload("musicbrainz"):
             got = spark.sql(ipt_sql(pattern))
             assert_equivalent(got, ipt_sql(pattern), dedges=dedges)
@@ -126,16 +126,16 @@ class TestOracleEquivalence:
 class TestIptSql:
     def test_all_one_partition_zero_ipt(self, spark):
         g = tiny_graph()
-        vertices, dedges = partition_tables(g, {v: 0 for v in g.labels})
-        register_views(spark, vertices, dedges)
+        _, dedges = partition_tables(g, {v: 0 for v in g.labels})
+        register_views(spark, dedges)
         row = spark.sql(ipt_sql(_path(["a", "b", "c"]))).collect()[0]
         assert row["n_matches"] == 4
         assert row["n_ipt"] == 0
 
     def test_each_vertex_own_partition_cuts_everything(self, spark):
         g = tiny_graph()
-        vertices, dedges = partition_tables(g, {v: v for v in g.labels})
-        register_views(spark, vertices, dedges)
+        _, dedges = partition_tables(g, {v: v for v in g.labels})
+        register_views(spark, dedges)
         row = spark.sql(ipt_sql(_path(["a", "b", "c"]))).collect()[0]
         # every pattern edge of every embedding is cut: 4 matches * 2 edges
         assert row["n_ipt"] == 8
@@ -143,8 +143,8 @@ class TestIptSql:
     def test_hand_computed_cut(self, spark):
         g = tiny_graph()
         assignment = {1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1, 8: 1}
-        vertices, dedges = partition_tables(g, assignment)
-        register_views(spark, vertices, dedges)
+        _, dedges = partition_tables(g, assignment)
+        register_views(spark, dedges)
         # a-b-c embeddings: 1-2-3 (0 cuts), 6-2-3 (edge 6-2 cut -> 1),
         # 5-7-8 (0 cuts), 6-7-8 (0 cuts)
         row = spark.sql(ipt_sql(_path(["a", "b", "c"]))).collect()[0]

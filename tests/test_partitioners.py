@@ -1,5 +1,7 @@
 """Unit tests for the Hash / LDG / Fennel baselines and shared state."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphs.model import LabeledGraph
 from repro.partitioners.base import PartitionState, StreamEdge, stream_of
@@ -171,6 +173,19 @@ class TestFennel:
         p = FennelPartitioner(8, g.n_vertices, g.n_edges, nu=1.1)
         p.partition(stream)
         assert max(p.state.sizes) <= 1.1 * 200 / 8 + 1  # one-past-the-post at most
+
+    @given(
+        k=st.integers(1, 64),
+        n=st.integers(1, 200_000),
+        nu=st.one_of(st.just(1.1), st.floats(0.01, 4.0)),
+        size=st.integers(0, 1_000_000),
+    )
+    def test_nu_cap_is_the_state_capacity(self, k, n, nu, size):
+        """On integer sizes Fennel's bound |S_i| < ν·n/k is the shared
+        hard cap ⌈ν·n/k⌉ that Fennel reads from its state."""
+        cap = FennelPartitioner(k, n, 2 * n, nu=nu).state.capacity
+        for s in {size, 0, cap - 1, cap, cap + 1}:
+            assert (s < nu * n / k) == (s < cap), s
 
     def test_balance_under_adversarial_clique_stream(self):
         """Everything prefers the first partition; the additive penalty

@@ -62,7 +62,7 @@ def fennel_reference(p, v):
     exponent = p.gamma - 1.0
     best_pid, best_key = -1, None
     for pid, size in enumerate(st_.sizes):
-        if size >= p.max_size:
+        if size >= st_.capacity:
             continue
         score = counts[pid] - penalty * size**exponent
         key = (score, -size, -pid)

@@ -1,4 +1,6 @@
 """Unit tests for TPSTry++ construction and motif filtering (Sec. 2, Alg. 1)."""
+import math
+
 import pytest
 
 from repro.core.signature import LabelHash, fac, incremental_factors
@@ -25,7 +27,7 @@ def fig1_trie():
 
 def children(node):
     """Every child key of a trie node, over all its ``fac`` links."""
-    return {c for cs in node.children_by_fac.values() for c in cs}
+    return set(node.children_by_fac.values())
 
 
 class TestConstruction:
@@ -262,6 +264,47 @@ class TestDatasetWorkloadTries:
         assert set(t1.nodes) == set(t2.nodes)
         for k in t1.nodes:
             assert t1.support(k) == pytest.approx(t2.support(k))
+
+
+def link_tries():
+    """The Fig. 1 trie and the tries of the four dataset workloads."""
+    cases = [pytest.param(TPSTry.from_workload(fig1_workload()), id="fig1")]
+    for name in ("dblp", "provgen", "musicbrainz", "lubm"):
+        cases.append(pytest.param(TPSTry.from_workload(workload(name)), id=name))
+    return cases
+
+
+class TestLinks:
+    """A ``fac`` link names exactly one child: growing a sub-graph by an
+    edge with factors ``fac`` gives the multiset union of the factors, so
+    the child's key is ``sorted(parent + fac)`` (Alg. 2 line 7)."""
+
+    @pytest.mark.parametrize("trie", link_tries())
+    def test_child_key_is_parent_plus_fac(self, trie):
+        linked = set()
+        for parent, node in trie.nodes.items():
+            for f, child in node.children_by_fac.items():
+                assert child == tuple(sorted(parent + f))
+                assert trie.nodes[child].n_edges == node.n_edges + 1
+                linked.add(child)
+        assert linked == set(trie.nodes) - {ROOT_KEY}
+
+    @pytest.mark.parametrize("trie", link_tries())
+    def test_motif_child_is_the_linked_child_in_keep(self, trie):
+        """At T = 0.4 and at a T just above the lowest support (so some
+        node is left out), a link to a node outside ``keep`` gives None."""
+        lowest = min(trie.support(key) for key in trie.nodes if key != ROOT_KEY)
+        for threshold in (0.4, math.nextafter(lowest, math.inf)):
+            motifs = trie.motifs(threshold)
+            outside = 0
+            for parent, node in trie.nodes.items():
+                for f, child in node.children_by_fac.items():
+                    if child in motifs.keep:
+                        assert motifs.motif_child(parent, f) == child
+                    else:
+                        assert motifs.motif_child(parent, f) is None
+                        outside += 1
+        assert outside > 0
 
 
 def workload_cases():
