@@ -31,6 +31,13 @@ other key components are. Only a tie among the top bids, or no positive
 bid, needs the full comparison of all k partitions and its neighbour
 scan. The LDG fallback scores only the partitions a vertex touches
 (:func:`repro.partitioners.ldg.ldg_choose`).
+
+A cluster of one match is ``{e}``'s own, over ``e``'s endpoints, and most
+such evictions are forced: with both endpoints assigned there is nothing
+to place, and with one endpoint on a partition below the cap that the
+ration lets bid, that partition is the single positive bidder and takes
+the other endpoint. These are decided without the auction, with the same
+result; any other cluster goes to equal opportunism.
 """
 from __future__ import annotations
 
@@ -147,7 +154,25 @@ class LoomPartitioner(StreamingPartitioner):
     def _evict(self, e_old: StreamEdge) -> None:
         """Evict window edge ``e_old`` with its cluster of matches ``M_e``."""
         m_e = self.matcher.matches_containing(e_old.eid)
-        if not m_e:
+        if len(m_e) == 1:
+            # A forced eviction: the one match is {e_old}'s own, over
+            # e_old's endpoints, and the auction has one possible result.
+            st = self.state
+            pu = st.assignment.get(e_old.u)
+            pv = st.assignment.get(e_old.v)
+            if pu is not None and pv is not None:
+                self.matcher.remove_edges(m_e[0].eids)  # nothing to place
+                return
+            if pu is not None or pv is not None:
+                # A lone anchor below the cap with a positive ration is
+                # the single positive bidder, with a prefix of one match.
+                a, w = (pu, e_old.v) if pv is None else (pv, e_old.u)
+                sizes, cap = st.sizes, st.capacity
+                if sizes[a] < cap and ration(sizes, a, cap, alpha=self.alpha) > 0.0:
+                    st.assign(w, a)
+                    self.matcher.remove_edges(m_e[0].eids)
+                    return
+        elif not m_e:
             # Every window edge keeps its single-edge match until the edge
             # leaves the window, so this is a broken matcher invariant.
             raise RuntimeError(f"window edge {e_old.eid} has no motif match")

@@ -14,6 +14,7 @@ from repro.eval import harness, ipt, matcher
 from repro.graphs import generators, streams
 from repro.partitioners import base
 from repro.workloads import queries
+from tests.test_forced_evictions import AuctionLoom
 
 PATCHED = [
     (base.PartitionState, "neighbours_in"),
@@ -103,3 +104,62 @@ def test_cold_workload_ipt_registers_views_through_the_module_global(
     for g in (g1, g1, g2, g2):
         harness.workload_ipt(spark, g, {v: v % 4 for v in g.labels}, wl)
     assert len(calls) == 2
+
+
+# Traced counters that assume one call per eviction.
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` by name, as the benchmark does, to count calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def traced_provgen_run(monkeypatch, cls):
+    """ProvGen BFS at scale 2,000, t = 100, k = 8: per eviction, whether it
+    ran an auction and how often it called the two traced matcher methods;
+    and the total of ``ldg_choose`` calls."""
+    found = count_calls(monkeypatch, motifs.WindowMatcher, "matches_containing")
+    removed = count_calls(monkeypatch, motifs.WindowMatcher, "remove_edges")
+    auctions = count_calls(monkeypatch, loom.LoomPartitioner, "_equal_opportunism")
+    fallbacks = count_calls(monkeypatch, loom, "ldg_choose")
+    evictions = []
+    evict = cls._evict
+
+    def traced_evict(self, e_old):
+        before = len(found), len(removed), len(auctions)
+        evict(self, e_old)
+        after = len(found), len(removed), len(auctions)
+        evictions.append(tuple(b - a for a, b in zip(before, after)))
+
+    monkeypatch.setattr(cls, "_evict", traced_evict)
+    g = generators.generate("provgen", scale=2_000)
+    m = tpstry.TPSTry.from_workload(queries.workload("provgen")).motifs(loom.DEFAULT_THRESHOLD)
+    cls(8, g.n_vertices, motifs=m, window=100).partition(
+        base.stream_of(g, streams.ordered_stream(g, "bfs", seed=0))
+    )
+    return evictions, len(fallbacks)
+
+
+def test_forced_evictions_keep_the_traced_counts(monkeypatch):
+    """``motifs.matches_containing.calls`` counts evictions and
+    ``motifs.cluster_size.mean`` divides by it, so forced evictions and
+    auctions alike call ``matches_containing`` and ``remove_edges`` once;
+    and ``partitioners.ldg_choose.calls`` reads as without forced
+    evictions, which place no vertex by the LDG fallback."""
+    fallbacks = []
+    for cls in (loom.LoomPartitioner, AuctionLoom):
+        with monkeypatch.context() as mp:
+            evictions, n = traced_provgen_run(mp, cls)
+        fallbacks.append(n)
+        paths = {auction for _, _, auction in evictions}
+        assert paths == ({0, 1} if cls is loom.LoomPartitioner else {1})
+        assert {(f, r) for f, r, _ in evictions} == {(1, 1)}
+    assert fallbacks[0] == fallbacks[1] > 0

@@ -126,9 +126,17 @@ class TestExperimentShape:
     def test_matches_identical_across_systems(self, dblp_rows):
         assert len({r.n_matches for r in dblp_rows}) == 1
 
-    def test_loom_slower_than_ldg_fennel(self, dblp_rows):
-        """Table 2's shape: hash fastest, Loom slowest (2-7x Fennel)."""
-        t = {r.system: r.ms_per_10k for r in dblp_rows}
+    def test_loom_slower_than_ldg_fennel(self):
+        """Table 2's shape: hash fastest, Loom slowest (2-7x Fennel). Each
+        system is timed as the best of 3 passes over one stream (the
+        cell's), so a stall in a single pass does not decide the order."""
+        g = generate("dblp", scale=SCALE)
+        stream = list(stream_of(g, ordered_stream(g, "bfs", seed=0)))
+        wl = workload("dblp")
+        t = {
+            s: min(run_system(s, g, stream, 4, wl).ms_per_10k for _ in range(3))
+            for s in SYSTEMS
+        }
         assert t["hash"] < t["ldg"]
         assert t["loom"] > t["fennel"]
 
