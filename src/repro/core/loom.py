@@ -32,6 +32,10 @@ bid, needs the full comparison of all k partitions and its neighbour
 scan. The LDG fallback scores only the partitions a vertex touches
 (:func:`repro.partitioners.ldg.ldg_choose`).
 
+Loom is the one system that keeps adjacency, and only for vertices not
+yet placed (:meth:`PartitionState.observe_edge`): the LDG fallback and
+the tie-break's neighbour scan read it only for such vertices.
+
 A cluster of one match is ``{e}``'s own, over ``e``'s endpoints, and most
 such evictions are forced: with both endpoints assigned there is nothing
 to place, and with one endpoint on a partition below the cap that the
@@ -132,7 +136,7 @@ class LoomPartitioner(StreamingPartitioner):
             # and their placement is equal opportunism's decision.
             for w in (e.u, e.v):
                 if not st.is_assigned(w) and w not in self.matcher.match_list:
-                    st.assign(w, self.choose(w))
+                    st.assign(w, self.choose(w, st.neighbour_counts(w)))
         # Slide the window: it spans the t most recently added stream
         # edges (Sec. 1.3), so buffered motif edges older than t stream
         # positions are evicted and permanently assigned.
@@ -146,9 +150,10 @@ class LoomPartitioner(StreamingPartitioner):
         while (oldest := self.matcher.oldest()) is not None:
             self._evict(oldest)
 
-    def choose(self, v: int) -> int:
-        """The LDG fallback for vertices equal opportunism does not place."""
-        return ldg_choose(self.state, v)
+    def choose(self, v: int, counts: dict[int, int]) -> int:
+        """The LDG fallback for vertices equal opportunism does not place,
+        over ``counts``, the neighbours the window has revealed to ``v``."""
+        return ldg_choose(self.state, counts)
 
     # ----------------------------------------------------------- eviction
     def _evict(self, e_old: StreamEdge) -> None:
@@ -281,5 +286,5 @@ class LoomPartitioner(StreamingPartitioner):
                 if st.sizes[pid] < st.capacity:
                     st.assign(v, pid)
                 else:
-                    st.assign(v, self.choose(v))
+                    st.assign(v, self.choose(v, st.neighbour_counts(v)))
         self.matcher.remove_edges(eids)

@@ -4,9 +4,16 @@ All four systems evaluated in the paper (Hash, LDG, Fennel, Loom) consume
 the same input — an ordered stream of labelled undirected edges — and
 produce the same output: a vertex-centric k-way assignment (Sec. 1.3).
 :class:`PartitionState` tracks vertex placements, per-partition sizes and
-the incrementally-revealed adjacency (streaming heuristics score a vertex
-by its already-assigned neighbours). Once a vertex is assigned it is never
-moved and never replicated (strict one-pass streaming model, Sec. 1.2).
+the adjacency revealed to vertices not yet placed (streaming heuristics
+score a vertex by its already-assigned neighbours). Once a vertex is
+assigned it is never moved and never replicated (strict one-pass streaming
+model, Sec. 1.2).
+
+Hash, LDG and Fennel place a vertex the first time it appears, so when
+their rule runs the vertex has revealed one neighbour, the other endpoint
+of the arriving edge: :meth:`StreamingPartitioner.add_edge` hands the rule
+that neighbour's partition and keeps no adjacency. Only Loom, which holds
+vertices back in its window, reveals edges to :meth:`PartitionState.observe_edge`.
 
 :class:`StreamEdge` is the one edge type of the program: the stream, Loom's
 window and the tests all carry it.
@@ -39,7 +46,8 @@ def stream_of(graph: LabeledGraph, order: list[tuple[int, int]]) -> Iterator[Str
 
 
 class PartitionState:
-    """Vertex assignments + partition occupancies + revealed adjacency."""
+    """Vertex assignments + partition occupancies + the adjacency revealed
+    to unplaced vertices."""
 
     def __init__(self, k: int, n_vertices: int, *, slack: float = 1.1):
         if k < 1:
@@ -61,19 +69,24 @@ class PartitionState:
         self.adj: dict[int, set[int]] = {}
 
     def observe_edge(self, u: int, v: int) -> None:
-        """Reveal an edge to the adjacency index (before any assignment).
-        A vertex's set is made on its first edge, not offered on each."""
-        adj = self.adj
-        s = adj.get(u)
-        if s is None:
-            adj[u] = {v}
-        else:
-            s.add(v)
-        s = adj.get(v)
-        if s is None:
-            adj[v] = {u}
-        else:
-            s.add(u)
+        """Reveal an edge to the adjacency of each endpoint not yet placed.
+        Adjacency is read only for unplaced vertices (the one being placed,
+        and the unplaced vertices of a cluster), and a placed vertex stays
+        placed, so a placed endpoint's set would never be read again. A
+        vertex's set is made on its first edge, not offered on each."""
+        adj, assignment = self.adj, self.assignment
+        if u not in assignment:
+            s = adj.get(u)
+            if s is None:
+                adj[u] = {v}
+            else:
+                s.add(v)
+        if v not in assignment:
+            s = adj.get(v)
+            if s is None:
+                adj[v] = {u}
+            else:
+                s.add(u)
 
     def assign(self, v: int, pid: int) -> None:
         if v in self.assignment:
@@ -140,17 +153,25 @@ class StreamingPartitioner(ABC):
 
     def add_edge(self, e: StreamEdge) -> None:
         """Consume one stream element. The vertex rule is applied to an edge
-        stream as the paper's footnote 7 describes for LDG: observe the edge,
-        then place each unassigned endpoint, in endpoint order."""
+        stream as the paper's footnote 7 describes for LDG: each unassigned
+        endpoint is placed, in endpoint order. Every vertex is placed at its
+        first edge, so the only neighbour it has revealed is the other
+        endpoint: its counts are ``{part(other): 1}`` when that one is
+        placed, else ``{}`` (a self-loop's other endpoint is itself)."""
         st = self.state
-        st.observe_edge(e.u, e.v)
-        for w in (e.u, e.v):
-            if not st.is_assigned(w):
-                st.assign(w, self.choose(w))
+        assignment = st.assignment
+        u, v = e.u, e.v
+        if u not in assignment:
+            pid = assignment.get(v)
+            st.assign(u, self.choose(u, {} if pid is None else {pid: 1}))
+        if v not in assignment:  # u is placed by now
+            st.assign(v, self.choose(v, {assignment[u]: 1}))
 
     @abstractmethod
-    def choose(self, v: int) -> int:
-        """The partition for unassigned vertex ``v`` (the system's rule)."""
+    def choose(self, v: int, counts: dict[int, int]) -> int:
+        """The partition for unassigned vertex ``v`` (the system's rule),
+        given ``counts``, its revealed neighbours per partition holding one
+        (as :meth:`PartitionState.neighbour_counts` returns them)."""
 
     def finalize(self) -> None:
         """Flush any buffered state (no-op for memoryless partitioners)."""

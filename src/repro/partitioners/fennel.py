@@ -10,7 +10,9 @@ subject to the hard balance constraint |S_i| < ν · n / k (ν = 1.1, the
 same maximum imbalance Loom adopts for b). Sizes are integers, so this is
 |S_i| < ⌈ν · n / k⌉, the shared ``PartitionState.capacity``. As with LDG
 we apply the vertex rule to each unassigned endpoint of the arriving
-edge, scored over the adjacency revealed so far.
+edge. That edge is the vertex's first, so ``|N(v) ∩ S_i|`` is 1 for the
+other endpoint's partition, if it is placed, and 0 elsewhere; ``choose``
+scores the counts :meth:`StreamingPartitioner.add_edge` hands it.
 
 γ must be at least 1. Then the penalty never falls as a partition grows,
 so of the partitions holding no neighbour of ``v`` the least loaded,
@@ -44,9 +46,8 @@ class FennelPartitioner(StreamingPartitioner):
         self.gamma = gamma
         self.alpha = math.sqrt(k) * max(1, n_edges) / max(1, n_vertices) ** 1.5
 
-    def choose(self, v: int) -> int:
+    def choose(self, v: int, counts: dict[int, int]) -> int:
         st = self.state
-        counts = st.neighbour_counts(v)
         sizes = st.sizes
         penalty = self.alpha * self.gamma
         exponent = self.gamma - 1.0

@@ -29,5 +29,5 @@ class HashPartitioner(StreamingPartitioner):
         super().__init__(k, n_vertices, slack=10.0)  # hash ignores capacity
         self.seed = seed
 
-    def choose(self, v: int) -> int:
+    def choose(self, v: int, counts: dict[int, int]) -> int:
         return hash_vertex(v, self.state.k, seed=self.seed)

@@ -13,9 +13,12 @@ what keeps LDG's imbalance at the 1-3% the paper reports.
 
 LDG is defined for vertex streams; following the paper's footnote 7 ("LDG
 may partition either vertex or edge streams") we apply the rule to each
-not-yet-assigned endpoint as its edge arrives, in endpoint order, scoring
-against the adjacency revealed so far
-(:meth:`StreamingPartitioner.add_edge`).
+not-yet-assigned endpoint as its edge arrives, in endpoint order
+(:meth:`StreamingPartitioner.add_edge`). A vertex is placed at its first
+edge, so ``N(S_i, v)`` counts one neighbour at most, the other endpoint,
+and the rule takes those counts rather than reading an adjacency index.
+Loom's fallback calls the same rule with the counts over everything its
+window has revealed (:meth:`PartitionState.neighbour_counts`).
 
 Only the partitions ``v`` touches and the least-loaded other one are
 scored (:meth:`PartitionState.candidates`). This is exact: a partition
@@ -27,9 +30,9 @@ from __future__ import annotations
 from repro.partitioners.base import PartitionState, StreamingPartitioner
 
 
-def ldg_choose(state: PartitionState, v: int) -> int:
-    """Partition index maximising LDG's weighted neighbour count for ``v``."""
-    counts = state.neighbour_counts(v)
+def ldg_choose(state: PartitionState, counts: dict[int, int]) -> int:
+    """Partition index maximising LDG's weighted neighbour count for a
+    vertex with ``counts`` assigned neighbours per partition."""
     sizes, soft = state.sizes, state.soft_capacity
     best_pid, best_key = -1, None
     for pid in state.candidates(counts, state.capacity):
@@ -49,5 +52,5 @@ class LDGPartitioner(StreamingPartitioner):
 
     name = "ldg"
 
-    def choose(self, v: int) -> int:
-        return ldg_choose(self.state, v)
+    def choose(self, v: int, counts: dict[int, int]) -> int:
+        return ldg_choose(self.state, counts)

@@ -212,9 +212,9 @@ def test_one_edge_clusters(case):
 # edge of a BFS order and adds a self-loop at every 7th (DESIGN.md §3b.9).
 
 
-def messy_stream(g):
+def messy_stream(g, order="bfs", seed=0):
     pairs = []
-    for i, (u, v) in enumerate(streams.ordered_stream(g, "bfs", seed=0)):
+    for i, (u, v) in enumerate(streams.ordered_stream(g, order, seed=seed)):
         pairs.append((u, v))
         if i % 5 == 0:
             pairs.append((u, v))

@@ -105,7 +105,7 @@ class TestLDG:
     def test_cold_start_goes_least_loaded(self):
         st = PartitionState(4, 100)
         st.observe_edge(1, 2)
-        assert ldg_choose(st, 1) == 0  # all empty: lowest index
+        assert ldg_choose(st, st.neighbour_counts(1)) == 0  # all empty: lowest index
 
     def test_follows_neighbours(self):
         st = PartitionState(4, 100)
@@ -113,7 +113,7 @@ class TestLDG:
         st.assign(2, 3)
         # balance others a little so partition 3 is not also least loaded
         st.assign(7, 0)
-        assert ldg_choose(st, 1) == 3
+        assert ldg_choose(st, st.neighbour_counts(1)) == 3
 
     def test_residual_capacity_discounts_full_partitions(self):
         st = PartitionState(2, 8)  # soft capacity 4
@@ -123,20 +123,20 @@ class TestLDG:
             st.assign(v, 0)  # partition 0 at soft capacity, holds 1 nbr
         st.assign(3, 1)  # partition 1 holds 1 neighbour, plenty of room
         # score_0 = 1 * (1 - 4/4) = 0 < score_1 = 1 * (1 - 1/4)
-        assert ldg_choose(st, 1) == 1
+        assert ldg_choose(st, st.neighbour_counts(1)) == 1
 
     def test_hard_capacity_skipped(self):
         st = PartitionState(2, 2, slack=1.0)  # hard capacity 1 each
         st.observe_edge(1, 2)
         st.assign(2, 0)
-        assert ldg_choose(st, 1) == 1  # partition 0 full
+        assert ldg_choose(st, st.neighbour_counts(1)) == 1  # partition 0 full
 
     def test_spills_when_everything_full(self):
         st = PartitionState(2, 2, slack=1.0)
         st.assign(1, 0)
         st.assign(2, 1)
         st.observe_edge(3, 1)
-        assert ldg_choose(st, 3) in (0, 1)
+        assert ldg_choose(st, st.neighbour_counts(3)) in (0, 1)
 
     def test_chain_collocates_neighbours(self):
         """A streamed chain should mostly follow itself, not scatter."""

@@ -228,13 +228,13 @@ def clusters(draw):
 @settings(max_examples=400, deadline=None)
 @given(ldg_states())
 def test_ldg_choose_matches_full_scan(state):
-    assert ldg_choose(state, 0) == ldg_reference(state, 0)
+    assert ldg_choose(state, state.neighbour_counts(0)) == ldg_reference(state, 0)
 
 
 @settings(max_examples=400, deadline=None)
 @given(fennel_partitioners())
 def test_fennel_choose_matches_full_scan(p):
-    assert p.choose(0) == fennel_reference(p, 0)
+    assert p.choose(0, p.state.neighbour_counts(0)) == fennel_reference(p, 0)
 
 
 @settings(max_examples=400, deadline=None)
